@@ -234,13 +234,13 @@ def cmd_reproduce_counterexample(args) -> int:
     sa, sb = sb_scores(inst_a), sb_scores(inst_b)
     tract_a, _ = is_mp_tractable(inst_a)
     tract_b, _ = is_mp_tractable(inst_b)
+    pair = nn.batch_graphs([(ga, np.zeros(ga.n)), (gb, np.zeros(gb.n))])
     max_diff = 0.0
     max_spread = 0.0
     for k in range(100):
         d = 8 if k % 2 == 0 else 64
         params = nn.init_params("mpgnn", d, 2, seed=args.seed * 100 + k)
-        ya = nn.mpgnn_forward(params, ga)
-        yb = nn.mpgnn_forward(params, gb)
+        ya, yb = nn.mpgnn_batch_forward(params, pair)
         max_diff = max(max_diff, float(np.abs(ya - yb).max()))
         max_spread = max(max_spread, float(np.ptp(ya)), float(np.ptp(yb)))
     fg = nn.init_params("fgnn2", 64, 2, seed=args.seed + 1)

@@ -104,7 +104,9 @@ class MilpInstance:
         if not np.all(np.isin(self.senses, [0, 1, 2])):
             raise InstanceError("sense codes must be 0 (<=), 1 (=) or 2 (>=)")
         if np.any(np.isnan(self.c)) or np.any(np.isnan(self.b)):
-            raise InstanceError("c and b must be finite numbers")
+            raise InstanceError("c and b must be finite numbers, not NaN")
+        if np.any(np.isinf(self.c)) or np.any(np.isinf(self.b)):
+            raise InstanceError("c and b must be finite numbers, not infinite")
         if np.any(self.lower > self.upper):
             j = int(np.argmax(self.lower > self.upper))
             raise InstanceError(f"lower bound exceeds upper bound at variable {j}")

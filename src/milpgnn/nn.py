@@ -8,6 +8,13 @@ hidden activations and a linear last layer, and the readout is a 2-layer MLP
 ending in a scalar.  Message terms multiply by the matrix entry, so an absent
 edge contributes exactly zero.
 
+The MP-GNN has one implementation, over batches of same-shape graphs
+(``mpgnn_batch_forward`` and its backward pass).  A single graph runs as a
+batch of one.  A list of (graph, target) pairs is grouped by (m, n) in the
+order each shape first appears, one batch per shape, and loss and gradients
+are summed over the groups in that order, so accumulation is deterministic.
+The 2-FGNN runs graph by graph.
+
 Everything runs on plain numpy float64; gradients are checked against central
 finite differences in the test suite.
 """
@@ -215,54 +222,84 @@ def encode_graph(g: MilpGraph):
 # message-passing network
 
 
-def mpgnn_forward(params: GnnParams, g: MilpGraph, want_cache: bool = False):
-    """Per-variable outputs y_j = readout(sum_i s_i, sum_j t_j, t_j)."""
+@dataclass(frozen=True)
+class BatchedGraphs:
+    """Same-shape graphs stacked along a batch axis, so one epoch is a
+    handful of large matmuls instead of many small ones."""
+
+    xv: np.ndarray  # (B, m, CONS_FEATURES)
+    xw: np.ndarray  # (B, n, VAR_FEATURES)
+    a: np.ndarray  # (B, m, n)
+    targets: np.ndarray  # (B, n)
+
+
+def batch_graphs(pairs: Sequence[tuple[MilpGraph, np.ndarray]]) -> BatchedGraphs:
+    shapes = {(g.m, g.n) for g, _ in pairs}
+    if len(shapes) != 1:
+        raise ValueError(f"graphs must share one shape, got {sorted(shapes)}")
+    encoded = [encode_graph(g) for g, _ in pairs]
+    return BatchedGraphs(
+        xv=np.stack([e[0] for e in encoded]),
+        xw=np.stack([e[1] for e in encoded]),
+        a=np.stack([e[2] for e in encoded]),
+        targets=np.stack([np.asarray(t, dtype=float) for _, t in pairs]),
+    )
+
+
+def mpgnn_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: bool = False):
     if params.kind != "mpgnn":
         raise ValueError("params are not for the message-passing network")
-    xv, xw, a = encode_graph(g)
-    s, s_cache = params.p0.forward(xv)
-    t, t_cache = params.q0.forward(xw)
-    s_hist, t_hist, layer_caches = [s], [t], []
+    a = batch.a
+    bsz, m, n = a.shape
+    s, s_cache = params.p0.forward(batch.xv)  # (B, m, d)
+    t, t_cache = params.q0.forward(batch.xw)  # (B, n, d)
+    layer_caches = []
     for layer in params.msg_layers:
         f_out, f_c = layer["f"].forward(t)
         msg_v = a @ f_out
-        s_new, p_c = layer["p"].forward(np.concatenate([s, msg_v], axis=1))
+        s_new, p_c = layer["p"].forward(np.concatenate([s, msg_v], axis=2))
         g_out, g_c = layer["g"].forward(s)
-        msg_w = a.T @ g_out
-        t_new, q_c = layer["q"].forward(np.concatenate([t, msg_w], axis=1))
+        msg_w = np.transpose(a, (0, 2, 1)) @ g_out
+        t_new, q_c = layer["q"].forward(np.concatenate([t, msg_w], axis=2))
         layer_caches.append((f_c, p_c, g_c, q_c))
         s, t = s_new, t_new
-        s_hist.append(s)
-        t_hist.append(t)
-    u = s.sum(axis=0)
-    w = t.sum(axis=0)
-    r_in = np.concatenate([np.tile(u, (g.n, 1)), np.tile(w, (g.n, 1)), t], axis=1)
+    d = params.dim
+    u = s.sum(axis=1)  # (B, d)
+    w = t.sum(axis=1)
+    r_in = np.concatenate(
+        [
+            np.broadcast_to(u[:, None, :], (bsz, n, d)),
+            np.broadcast_to(w[:, None, :], (bsz, n, d)),
+            t,
+        ],
+        axis=2,
+    )
     y, r_c = params.readout.forward(r_in)
-    y = y[:, 0]
+    y = y[..., 0]
     if not want_cache:
         return y
-    return y, (xv, xw, a, s_cache, t_cache, layer_caches, r_c)
+    return y, (a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n))
 
 
-def _mpgnn_backward(params: GnnParams, g: MilpGraph, cache, dy: np.ndarray) -> list[np.ndarray]:
-    xv, xw, a, s_cache, t_cache, layer_caches, r_c = cache
+def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
+    a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n) = cache
     d = params.dim
-    d_rin, r_grads = params.readout.backward(r_c, dy[:, None])
-    du = d_rin[:, :d].sum(axis=0)
-    dw = d_rin[:, d : 2 * d].sum(axis=0)
-    ds = np.tile(du, (g.m, 1))
-    dt = np.tile(dw, (g.n, 1)) + d_rin[:, 2 * d :]
+    d_rin, r_grads = params.readout.backward(r_c, dy[..., None])
+    du = d_rin[..., :d].sum(axis=1)  # (B, d)
+    dw = d_rin[..., d : 2 * d].sum(axis=1)
+    ds = np.broadcast_to(du[:, None, :], (bsz, m, d)).copy()
+    dt = np.broadcast_to(dw[:, None, :], (bsz, n, d)).copy() + d_rin[..., 2 * d :]
 
     layer_grads: list[list[np.ndarray]] = []
     for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
         d_pin, p_grads = layer["p"].backward(p_c, ds)
-        ds_prev = d_pin[:, :d]
-        d_msg_v = d_pin[:, d:]
-        df = a.T @ d_msg_v
+        ds_prev = d_pin[..., :d]
+        d_msg_v = d_pin[..., d:]
+        df = np.transpose(a, (0, 2, 1)) @ d_msg_v
         dt_from_f, f_grads = layer["f"].backward(f_c, df)
         d_qin, q_grads = layer["q"].backward(q_c, dt)
-        dt_prev = d_qin[:, :d] + dt_from_f
-        d_msg_w = d_qin[:, d:]
+        dt_prev = d_qin[..., :d] + dt_from_f
+        d_msg_w = d_qin[..., d:]
         dg = a @ d_msg_w
         ds_from_g, g_grads = layer["g"].backward(g_c, dg)
         ds, dt = ds_prev + ds_from_g, dt_prev
@@ -275,6 +312,12 @@ def _mpgnn_backward(params: GnnParams, g: MilpGraph, cache, dy: np.ndarray) -> l
         flat += p_grads + q_grads + f_grads + g_grads
     flat += r_grads
     return flat
+
+
+def mpgnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
+    """Per-variable outputs y_j = readout(sum_i s_i, sum_j t_j, t_j), computed
+    as a batch of one."""
+    return mpgnn_batch_forward(params, batch_graphs([(g, np.zeros(g.n))]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,138 +429,73 @@ def gnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched message-passing path for same-shape datasets
-
-
-@dataclass(frozen=True)
-class BatchedGraphs:
-    """A dataset of same-shape graphs stacked along a batch axis, so one
-    epoch is a handful of large matmuls instead of many small ones."""
-
-    xv: np.ndarray  # (B, m, CONS_FEATURES)
-    xw: np.ndarray  # (B, n, VAR_FEATURES)
-    a: np.ndarray  # (B, m, n)
-    targets: np.ndarray  # (B, n)
-
-
-def batch_graphs(pairs: Sequence[tuple[MilpGraph, np.ndarray]]) -> BatchedGraphs:
-    shapes = {(g.m, g.n) for g, _ in pairs}
-    if len(shapes) != 1:
-        raise ValueError(f"graphs must share one shape, got {sorted(shapes)}")
-    encoded = [encode_graph(g) for g, _ in pairs]
-    return BatchedGraphs(
-        xv=np.stack([e[0] for e in encoded]),
-        xw=np.stack([e[1] for e in encoded]),
-        a=np.stack([e[2] for e in encoded]),
-        targets=np.stack([np.asarray(t, dtype=float) for _, t in pairs]),
-    )
-
-
-def mpgnn_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: bool = False):
-    if params.kind != "mpgnn":
-        raise ValueError("params are not for the message-passing network")
-    a = batch.a
-    bsz, m, n = a.shape
-    s, s_cache = params.p0.forward(batch.xv)  # (B, m, d)
-    t, t_cache = params.q0.forward(batch.xw)  # (B, n, d)
-    layer_caches = []
-    for layer in params.msg_layers:
-        f_out, f_c = layer["f"].forward(t)
-        msg_v = a @ f_out
-        s_new, p_c = layer["p"].forward(np.concatenate([s, msg_v], axis=2))
-        g_out, g_c = layer["g"].forward(s)
-        msg_w = np.transpose(a, (0, 2, 1)) @ g_out
-        t_new, q_c = layer["q"].forward(np.concatenate([t, msg_w], axis=2))
-        layer_caches.append((f_c, p_c, g_c, q_c))
-        s, t = s_new, t_new
-    d = params.dim
-    u = s.sum(axis=1)  # (B, d)
-    w = t.sum(axis=1)
-    r_in = np.concatenate(
-        [
-            np.broadcast_to(u[:, None, :], (bsz, n, d)),
-            np.broadcast_to(w[:, None, :], (bsz, n, d)),
-            t,
-        ],
-        axis=2,
-    )
-    y, r_c = params.readout.forward(r_in)
-    y = y[..., 0]
-    if not want_cache:
-        return y
-    return y, (a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n))
-
-
-def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
-    a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n) = cache
-    d = params.dim
-    d_rin, r_grads = params.readout.backward(r_c, dy[..., None])
-    du = d_rin[..., :d].sum(axis=1)  # (B, d)
-    dw = d_rin[..., d : 2 * d].sum(axis=1)
-    ds = np.broadcast_to(du[:, None, :], (bsz, m, d)).copy()
-    dt = np.broadcast_to(dw[:, None, :], (bsz, n, d)).copy() + d_rin[..., 2 * d :]
-
-    layer_grads: list[list[np.ndarray]] = []
-    for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
-        d_pin, p_grads = layer["p"].backward(p_c, ds)
-        ds_prev = d_pin[..., :d]
-        d_msg_v = d_pin[..., d:]
-        df = np.transpose(a, (0, 2, 1)) @ d_msg_v
-        dt_from_f, f_grads = layer["f"].backward(f_c, df)
-        d_qin, q_grads = layer["q"].backward(q_c, dt)
-        dt_prev = d_qin[..., :d] + dt_from_f
-        d_msg_w = d_qin[..., d:]
-        dg = a @ d_msg_w
-        ds_from_g, g_grads = layer["g"].backward(g_c, dg)
-        ds, dt = ds_prev + ds_from_g, dt_prev
-        layer_grads.append([p_grads, q_grads, f_grads, g_grads])
-
-    _, p0_grads = params.p0.backward(s_cache, ds)
-    _, q0_grads = params.q0.backward(t_cache, dt)
-    flat = p0_grads + q0_grads
-    for p_grads, q_grads, f_grads, g_grads in reversed(layer_grads):
-        flat += p_grads + q_grads + f_grads + g_grads
-    flat += r_grads
-    return flat
-
-
-# ---------------------------------------------------------------------------
 # loss, gradient, training
+
+
+def _shape_batches(dataset) -> list[BatchedGraphs]:
+    """MP-GNN data as same-shape batches.  A list of (graph, target) pairs is
+    grouped by (m, n) in the order each shape first appears, and each group
+    is encoded once by batch_graphs.  A BatchedGraphs, or a list of them (as
+    train passes to grad), is used as it is."""
+    if isinstance(dataset, BatchedGraphs):
+        return [dataset]
+    dataset = list(dataset)
+    if all(isinstance(item, BatchedGraphs) for item in dataset):
+        return dataset
+    groups: dict[tuple[int, int], list] = {}
+    for g, target in dataset:
+        groups.setdefault((g.m, g.n), []).append((g, target))
+    return [batch_graphs(group) for group in groups.values()]
+
+
+def _per_graph(params: GnnParams, dataset) -> bool:
+    """Only the 2-FGNN runs graph by graph; the MP-GNN always runs batched."""
+    return params.kind == "fgnn2" and not isinstance(dataset, BatchedGraphs)
 
 
 def loss(params: GnnParams, dataset) -> float:
     """0.5 * sum over the dataset of the squared output error.  The dataset
     is a list of (graph, target) pairs or a BatchedGraphs."""
-    if isinstance(dataset, BatchedGraphs):
-        err = mpgnn_batch_forward(params, dataset) - dataset.targets
-        return 0.5 * float((err * err).sum())
     total = 0.0
-    for g, target in dataset:
-        err = gnn_forward(params, g) - np.asarray(target, dtype=float)
-        total += 0.5 * float(err @ err)
+    if _per_graph(params, dataset):
+        for g, target in dataset:
+            err = fgnn2_forward(params, g) - np.asarray(target, dtype=float)
+            total += 0.5 * float(err @ err)
+        return total
+    for batch in _shape_batches(dataset):
+        err = mpgnn_batch_forward(params, batch) - batch.targets
+        total += 0.5 * float((err * err).sum())
     return total
 
 
+def _fgnn2_piece(params: GnnParams, g: MilpGraph, target) -> tuple[float, list[np.ndarray]]:
+    y, cache = fgnn2_forward(params, g, want_cache=True)
+    err = y - np.asarray(target, dtype=float)
+    return 0.5 * float(err @ err), _fgnn2_backward(params, g, cache, err)
+
+
+def _mpgnn_piece(params: GnnParams, batch: BatchedGraphs) -> tuple[float, list[np.ndarray]]:
+    y, cache = mpgnn_batch_forward(params, batch, want_cache=True)
+    err = y - batch.targets
+    return 0.5 * float((err * err).sum()), _mpgnn_batch_backward(params, cache, err)
+
+
 def grad(params: GnnParams, dataset):
-    """Exact gradient of ``loss``; accumulation order is the dataset order,
-    so results are bitwise reproducible.  Returns (loss, flat grads)."""
-    if isinstance(dataset, BatchedGraphs):
-        y, cache = mpgnn_batch_forward(params, dataset, want_cache=True)
-        err = y - dataset.targets
-        return 0.5 * float((err * err).sum()), _mpgnn_batch_backward(params, cache, err)
+    """Exact gradient of ``loss``.  Returns (loss, flat grads).
+
+    The MP-GNN always runs on the batched kernels: a list of pairs is grouped
+    by shape in first-appearance order and the loss and gradients are summed
+    over the groups in that order.  The 2-FGNN runs graph by graph in dataset
+    order.  The accumulation order is fixed either way, so results are
+    bitwise reproducible."""
+    if _per_graph(params, dataset):
+        pieces = (_fgnn2_piece(params, g, target) for g, target in dataset)
+    else:
+        pieces = (_mpgnn_piece(params, batch) for batch in _shape_batches(dataset))
     total = 0.0
     acc: list[np.ndarray] | None = None
-    for g, target in dataset:
-        if params.kind == "mpgnn":
-            y, cache = mpgnn_forward(params, g, want_cache=True)
-        else:
-            y, cache = fgnn2_forward(params, g, want_cache=True)
-        err = y - np.asarray(target, dtype=float)
-        total += 0.5 * float(err @ err)
-        if params.kind == "mpgnn":
-            gs = _mpgnn_backward(params, g, cache, err)
-        else:
-            gs = _fgnn2_backward(params, g, cache, err)
+    for value, gs in pieces:
+        total += value
         if acc is None:
             acc = gs
         else:
@@ -546,13 +524,18 @@ class TrainConfig:
 
 def train(
     params: GnnParams,
-    dataset: Sequence[tuple[MilpGraph, np.ndarray]],
+    dataset: Sequence[tuple[MilpGraph, np.ndarray]] | BatchedGraphs,
     cfg: TrainConfig,
     on_epoch: Callable[[int, float, float], None] | None = None,
 ):
     """Full-batch Adam.  Returns (trained params, curve) where curve is a
-    list of (epoch, loss, lr) rows; the loss is the pre-step value."""
+    list of (epoch, loss, lr) rows; the loss is the pre-step value.
+
+    For the MP-GNN the dataset is grouped into same-shape batches once, before
+    the first epoch, so no graph is encoded inside the epoch loop."""
     params = params.copy()
+    if params.kind == "mpgnn":
+        dataset = _shape_batches(dataset)
     arrays = params.flat()
     m_state = [np.zeros_like(a) for a in arrays]
     v_state = [np.zeros_like(a) for a in arrays]
@@ -611,14 +594,26 @@ def save_params(params: GnnParams, path) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"parameter file truncated in {what}: expected {size} bytes, found {len(raw)}")
+    return raw
+
+
 def load_params(path) -> GnnParams:
+    """Inverse of save_params.  A short file, a header that does not match
+    the architecture, and bytes after the last array are ValueErrors."""
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "the header length"))
+        header = json.loads(_read_exact(fh, hlen, "the header"))
         params = init_params(header["kind"], header["dim"], header["layers"], seed=0)
-        for a, shape in zip(params.flat(), header["shapes"]):
-            if list(a.shape) != shape:
-                raise ValueError("shape header does not match the architecture")
-            raw = fh.read(8 * int(np.prod(shape)))
-            a[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        arrays = params.flat()
+        if header["shapes"] != [list(a.shape) for a in arrays]:
+            raise ValueError("shape header does not match the architecture")
+        for k, a in enumerate(arrays):
+            raw = _read_exact(fh, 8 * a.size, f"array {k}")
+            a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)
+        if fh.read(1):
+            raise ValueError("parameter file has trailing bytes after the last array")
     return params

@@ -5,12 +5,14 @@ Hashing is realized by canonical interning: every round builds the exact
 refinement signature (own color, sorted multiset of (neighbor color, edge
 weight)) and assigns dense integer ids through a dictionary, so the scheme is
 collision-free by construction.  Edge weights and node features enter
-signatures by the exact bit pattern of the double; an optional quantization
-step size is available for noisy data and is off by default.
+signatures by the exact bit pattern of the double, with -0.0 read as 0.0; an
+optional quantization step size is available for noisy data and is off by
+default.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -27,9 +29,10 @@ __all__ = [
 
 
 def _fkey(v: float, quantize: float | None):
-    if quantize is not None:
+    if quantize is not None and math.isfinite(v):
         v = round(v / quantize) * quantize
-    return struct.pack("<d", v)
+    # -0.0 + 0.0 is +0.0, so the two zeros, which compare equal, share one key
+    return struct.pack("<d", v + 0.0)
 
 
 @dataclass(frozen=True)

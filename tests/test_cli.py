@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from milpgnn.cli import main
-from milpgnn.gen import counterexample_pair
+from milpgnn.gen import counterexample_pair, gen_training_set
 from milpgnn.instance import serialize_instance
 
 
@@ -68,6 +68,14 @@ class TestSbScore:
         code, report = run(capsys, "sb-score", pair_files[1], "--rule", "linear:0.5")
         assert code == 0
         assert report["scores"][0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_infinite_cost_exit_one(self, capsys, tmp_path):
+        # JSON 1e400 parses to inf
+        path = tmp_path / "inf_cost.json"
+        path.write_text(serialize_instance(counterexample_pair()[0]).replace('"c": [1.0', '"c": [1e400', 1))
+        assert '"c": [1e400' in path.read_text()
+        code, _ = run(capsys, "sb-score", str(path))
+        assert code == 1
 
     def test_bad_rule_exit_one(self, capsys, pair_files):
         code, _ = run(capsys, "sb-score", pair_files[1], "--rule", "geometric")
@@ -140,6 +148,18 @@ class TestTrain:
         curve = (out / "curve.csv").read_text().strip().splitlines()
         assert curve[0] == "epoch,loss,lr" and len(curve) == 6
         assert (out / "curve.svg").read_text().startswith("<svg")
+
+    def test_directory_of_two_shapes(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        insts = list(counterexample_pair()) + gen_training_set(2, 2, m=3, n=5, nnz=8)[0]
+        for k, inst in enumerate(insts):
+            (data / f"inst_{k}.json").write_text(serialize_instance(inst))
+        code, report = run(
+            capsys, "train", "--arch", "mpgnn", "--data", str(data),
+            "--dim", "4", "--epochs", "3", "--out", str(tmp_path / "run"),
+        )
+        assert code == 0 and report["epochs_run"] == 3
 
     def test_bad_data_dir_exit_one(self, capsys, tmp_path):
         code, _ = run(

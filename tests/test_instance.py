@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -47,6 +48,15 @@ class TestValidation:
                 integer=np.zeros(2, dtype=bool),
                 a_rows=np.array([0]), a_cols=np.array([0]), a_vals=np.array([1.0]),
             )
+
+    @pytest.mark.parametrize("field", ["c", "b"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_cost_or_rhs_rejected(self, field, value):
+        inst = tiny()
+        arr = getattr(inst, field).copy()
+        arr[0] = value
+        with pytest.raises(InstanceError, match="infinite"):
+            dataclasses.replace(inst, **{field: arr})
 
     def test_explicit_zero_rejected(self):
         with pytest.raises(InstanceError, match="zero"):

@@ -153,6 +153,46 @@ class TestTraining:
         assert len(curve) == 1
 
 
+def mixed_shape_dataset():
+    """Two 6x20 graphs and the 8x8 counterexample pair, shapes interleaved."""
+    rng = np.random.default_rng(0)
+    r1, r2 = (build_graph(gen_random(seed)) for seed in (1, 2))
+    c8, split = counterexample_dataset()
+    return [(r1, rng.normal(size=20)), c8, (r2, rng.normal(size=20)), split]
+
+
+class TestShapeGrouping:
+    def test_grad_equals_sum_of_batches_of_one(self):
+        dataset = mixed_shape_dataset()
+        params = nn.init_params("mpgnn", 8, 2, seed=4)
+        jitter_off_kinks(params)
+        value, grads = nn.grad(params, dataset)
+        singles = [nn.grad(params, nn.batch_graphs([pair])) for pair in dataset]
+        ref_value = sum(v for v, _ in singles)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert nn.loss(params, dataset) == value
+        for k, g in enumerate(grads):
+            ref = sum(gs[k] for _, gs in singles)
+            assert np.abs(g - ref).max() <= 1e-9 * max(1.0, float(np.abs(ref).max()))
+
+    def test_single_forward_is_a_batch_of_one(self):
+        dataset = mixed_shape_dataset()
+        params = nn.init_params("mpgnn", 8, 2, seed=4)
+        batch = nn.batch_graphs([dataset[0], dataset[2]])
+        rows = nn.mpgnn_batch_forward(params, batch)
+        for row, (g, _) in zip(rows, (dataset[0], dataset[2])):
+            assert np.abs(nn.mpgnn_forward(params, g) - row).max() <= 1e-12 * max(1.0, float(np.abs(row).max()))
+
+    def test_train_on_mixed_shapes_is_reproducible(self):
+        dataset = mixed_shape_dataset()
+        cfg = nn.TrainConfig(learning_rate=1e-3, epochs=15)
+        p1, c1 = nn.train(nn.init_params("mpgnn", 8, 2, seed=4), dataset, cfg)
+        p2, c2 = nn.train(nn.init_params("mpgnn", 8, 2, seed=4), dataset, cfg)
+        assert c1 == c2
+        assert c1[-1][1] < c1[0][1]
+        assert all(np.array_equal(a, b) for a, b in zip(p1.flat(), p2.flat()))
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         params = nn.init_params("fgnn2", 8, 2, seed=11)
@@ -161,3 +201,18 @@ class TestSerialization:
         again = nn.load_params(path)
         assert again.kind == "fgnn2" and again.dim == 8 and again.layers == 2
         assert all(np.array_equal(a, b) for a, b in zip(params.flat(), again.flat()))
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        nn.save_params(nn.init_params("mpgnn", 4, 1, seed=0), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-12])
+        with pytest.raises(ValueError, match="truncated"):
+            nn.load_params(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        nn.save_params(nn.init_params("mpgnn", 4, 1, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="trailing"):
+            nn.load_params(path)

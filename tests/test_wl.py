@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milpgnn.fwl import fwl2_indistinguishable
 from milpgnn.gen import counterexample_pair, gen_random
 from milpgnn.instance import MilpInstance, Sense, build_graph, permute
 from milpgnn.wl import is_mp_tractable, stable_partition, wl_indistinguishable, wl_refine
@@ -150,3 +151,84 @@ class TestComplexityTrend:
 
         small, large = cost(20), cost(40)
         assert large <= 6 * small + 0.05
+
+
+ZERO_HEAVY = [0.0, -0.0, 1.0, -1.0, 2.0]
+
+
+@st.composite
+def zero_heavy_instances(draw):
+    """Small instances whose c, b and finite bounds are often +0.0 or -0.0.
+    A holds no zeros at all: its support excludes them by construction."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    vals = st.sampled_from(ZERO_HEAVY)
+    bounds = []
+    for _ in range(n):
+        lo, hi = sorted(draw(st.lists(vals, min_size=2, max_size=2)))
+        bounds.append((draw(st.sampled_from([lo, -np.inf])), draw(st.sampled_from([hi, np.inf]))))
+    cells = [k for k in range(m * n) if draw(st.booleans())]
+    return MilpInstance(
+        m=m,
+        n=n,
+        c=draw(st.lists(vals, min_size=n, max_size=n)),
+        b=draw(st.lists(vals, min_size=m, max_size=m)),
+        senses=draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)),
+        lower=[lo for lo, _ in bounds],
+        upper=[hi for _, hi in bounds],
+        integer=draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        a_rows=[k // n for k in cells],
+        a_cols=[k % n for k in cells],
+        a_vals=[draw(st.sampled_from([1.0, -1.0, 2.0])) for _ in cells],
+    )
+
+
+def flip_zero_signs(inst: MilpInstance, seed: int) -> MilpInstance:
+    """The same instance with the sign of a random subset of its zeros in
+    c, b, lower and upper flipped; it still compares == to the input."""
+    rng = np.random.default_rng(seed)
+
+    def flip(arr):
+        return np.where((arr == 0.0) & (rng.random(arr.shape) < 0.5), -arr, arr)
+
+    return MilpInstance(
+        m=inst.m, n=inst.n, c=flip(inst.c), b=flip(inst.b), senses=inst.senses,
+        lower=flip(inst.lower), upper=flip(inst.upper), integer=inst.integer,
+        a_rows=inst.a_rows, a_cols=inst.a_cols, a_vals=inst.a_vals,
+    )
+
+
+class TestSignedZero:
+    @settings(max_examples=60, deadline=None)
+    @given(inst=zero_heavy_instances(), flip_seed=st.integers(0, 2**32 - 1))
+    def test_verdicts_ignore_the_sign_of_zero(self, inst, flip_seed):
+        twin = flip_zero_signs(inst, flip_seed)
+        assert twin == inst
+        g, gt = build_graph(inst), build_graph(twin)
+        assert stable_partition(gt) == stable_partition(g)
+        assert stable_partition(gt, quantize=0.5) == stable_partition(g, quantize=0.5)
+        assert wl_indistinguishable(g, gt)
+        assert fwl2_indistinguishable(g, gt)
+
+    def test_cycle8_with_negative_zero_bound(self):
+        cycle = counterexample_pair()[0]
+        lower = cycle.lower.copy()
+        lower[0] = -0.0
+        twin = MilpInstance(
+            m=cycle.m, n=cycle.n, c=cycle.c, b=cycle.b, senses=cycle.senses,
+            lower=lower, upper=cycle.upper, integer=cycle.integer,
+            a_rows=cycle.a_rows, a_cols=cycle.a_cols, a_vals=cycle.a_vals,
+        )
+        assert stable_partition(build_graph(twin)).classes_w == (tuple(range(8)),)
+        assert wl_indistinguishable(build_graph(cycle), build_graph(twin))
+        assert fwl2_indistinguishable(build_graph(cycle), build_graph(twin))
+
+    def test_quantize_accepts_infinite_bounds(self):
+        inst = MilpInstance(
+            m=1, n=3, c=[0.1, -0.1, 0.1], b=[1.0], senses=[Sense.GE],
+            lower=[-np.inf, -np.inf, 0.0], upper=[np.inf, np.inf, 1.0], integer=[True, True, True],
+            a_rows=[0, 0, 0], a_cols=[0, 1, 2], a_vals=[1.0, 1.0, 1.0],
+        )
+        g = build_graph(inst)
+        assert stable_partition(g, quantize=0.5).classes_w == ((0, 1), (2,))
+        assert stable_partition(g).classes_w == ((0,), (1,), (2,))
+        assert fwl2_indistinguishable(g, g, quantize=0.5)
