@@ -3,8 +3,10 @@ indistinguishability relations it induces.
 
 Pairs come in two kinds: (constraint, variable) and (variable, variable).
 Colorings are stored dense because every update ranges over all of V or W
-regardless of sparsity.  Interning is canonical as in the node-level test,
-with one shared dictionary when two graphs are refined jointly.
+regardless of sparsity.  Colors are ids of integer signature rows as in the
+node-level test (``wl``), which also provides the fixpoint loop.  Graphs
+refined jointly have equal shape and are stacked along a leading axis; the
+ids of the two pair kinds never overlap.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import MilpGraph
-from .wl import _fkey, _Interner
+from .wl import _disjoint, _fixpoint, _ids, _node_keys
 
 __all__ = [
     "PairColoring",
@@ -34,89 +36,43 @@ class PairColoring:
     colors_ww: np.ndarray
 
     def class_count(self) -> int:
-        return len(set(self.colors_vw.flat) | set(self.colors_ww.flat))
-
-
-def _var_key(g: MilpGraph, j: int, quantize):
-    return (
-        _fkey(float(g.c[j]), quantize),
-        _fkey(float(g.lower[j]), quantize),
-        _fkey(float(g.upper[j]), quantize),
-        int(g.integer[j]),
-    )
+        return np.unique(np.concatenate([self.colors_vw.ravel(), self.colors_ww.ravel()])).size
 
 
 def _initial(graphs: list[MilpGraph], quantize):
-    intern = _Interner()
-    out = []
-    for g in graphs:
-        a = g.dense_matrix()
-        vw = np.empty((g.m, g.n), dtype=np.int64)
-        ww = np.empty((g.n, g.n), dtype=np.int64)
-        vkeys = [(_fkey(float(g.b[i]), quantize), int(g.senses[i])) for i in range(g.m)]
-        wkeys = [_var_key(g, j, quantize) for j in range(g.n)]
-        for i in range(g.m):
-            for j in range(g.n):
-                vw[i, j] = intern(("VW", vkeys[i], wkeys[j], _fkey(a[i, j], quantize)))
-        for j1 in range(g.n):
-            for j2 in range(g.n):
-                ww[j1, j2] = intern(("WW", wkeys[j1], wkeys[j2], int(j1 == j2)))
-        out.append((vw, ww))
-    return out
+    """Round-0 pair colors: VW from (constraint features, variable features,
+    A_ij with structural zeros), WW from (both variables' features, j1 == j2)."""
+    k, m, n = len(graphs), graphs[0].m, graphs[0].n
+    kv, kw, aid = _node_keys(graphs, quantize, [g.dense_matrix().ravel() for g in graphs])
+    kv, kw, aid = kv.reshape(k, m, 1), kw.reshape(k, 1, n), aid.reshape(k, m, n)
+    vw = np.stack(np.broadcast_arrays(kv, kw, aid), axis=-1)
+    diag = np.broadcast_to(np.eye(n, dtype=np.int64), (k, n, n))
+    ww = np.stack(np.broadcast_arrays(kw.transpose(0, 2, 1), kw, diag), axis=-1)
+    vw, ww = _disjoint(_ids(vw.reshape(-1, 3)), _ids(ww.reshape(-1, 3)))
+    return list(zip(vw.reshape(k, m, n), ww.reshape(k, n, n)))
 
 
 def _refine_once(colorings):
-    intern = _Interner()
-    sigs = []
-    for vw, ww in colorings:
-        m, n = vw.shape
-        sig_vw = [
-            [
-                (vw[i, j], tuple(sorted((ww[j1, j], vw[i, j1]) for j1 in range(n))))
-                for j in range(n)
-            ]
-            for i in range(m)
-        ]
-        sig_ww = [
-            [
-                (ww[j1, j2], tuple(sorted((vw[i, j2], vw[i, j1]) for i in range(m))))
-                for j2 in range(n)
-            ]
-            for j1 in range(n)
-        ]
-        sigs.append((sig_vw, sig_ww))
-    out = []
-    for (sig_vw, sig_ww), (vw, ww) in zip(sigs, colorings):
-        nvw = np.array([[intern(("VW", s)) for s in row] for row in sig_vw], dtype=np.int64)
-        nww = np.array([[intern(("WW", s)) for s in row] for row in sig_ww], dtype=np.int64)
-        out.append((nvw, nww))
-    return out
-
-
-def _joint_partition(colorings):
-    by_color: dict = {}
-    idx = 0
-    for vw, ww in colorings:
-        for c in vw.flat:
-            by_color.setdefault(int(c), []).append(idx)
-            idx += 1
-        for c in ww.flat:
-            by_color.setdefault(int(c), []).append(idx)
-            idx += 1
-    return frozenset(tuple(v) for v in by_color.values())
+    """One joint round.  (i, j) gets the multiset over j1 of
+    (color(j1, j), color(i, j1)); (j1, j2) the multiset over i of
+    (color(i, j2), color(i, j1))."""
+    vw = np.stack([c[0] for c in colorings])
+    ww = np.stack([c[1] for c in colorings])
+    k, m, n = vw.shape
+    base = max(int(vw.max(initial=-1)), int(ww.max(initial=-1))) + 1
+    # [g, i, j, j1] and [g, j1, j2, i]
+    sig_vw = np.sort(ww.transpose(0, 2, 1)[:, None, :, :] * base + vw[:, :, None, :], axis=-1)
+    vt = vw.transpose(0, 2, 1)
+    sig_ww = np.sort(vt[:, None, :, :] * base + vt[:, :, None, :], axis=-1)
+    nvw, nww = _disjoint(
+        _ids(np.concatenate([vw[..., None], sig_vw], axis=-1).reshape(k * m * n, n + 1)),
+        _ids(np.concatenate([ww[..., None], sig_ww], axis=-1).reshape(k * n * n, m + 1)),
+    )
+    return list(zip(nvw.reshape(k, m, n), nww.reshape(k, n, n)))
 
 
 def _refine_to_stability(graphs: list[MilpGraph], quantize):
-    colorings = _initial(graphs, quantize)
-    part = _joint_partition(colorings)
-    rounds = 0
-    while True:
-        nxt = _refine_once(colorings)
-        nxt_part = _joint_partition(nxt)
-        if nxt_part == part:
-            return colorings, rounds
-        colorings, part = nxt, nxt_part
-        rounds += 1
+    return _fixpoint(_initial(graphs, quantize), _refine_once)
 
 
 def fwl2_refine(g: MilpGraph, rounds: int, quantize: float | None = None) -> PairColoring:
@@ -148,16 +104,15 @@ def fwl2_indistinguishable_W(g1: MilpGraph, g2: MilpGraph, quantize: float | Non
     across the two graphs as multisets."""
     _check_sizes(g1, g2)
     (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2], quantize)[0]
-    for j in range(g1.n):
-        if sorted(vw1[:, j]) != sorted(vw2[:, j]):
-            return False
-        if sorted(ww1[:, j]) != sorted(ww2[:, j]):
-            return False
-    return True
+    return np.array_equal(np.sort(vw1, axis=0), np.sort(vw2, axis=0)) and np.array_equal(
+        np.sort(ww1, axis=0), np.sort(ww2, axis=0)
+    )
 
 
 def fwl2_indistinguishable(g1: MilpGraph, g2: MilpGraph, quantize: float | None = None) -> bool:
     """Whole-multiset criterion over all pair colors of each kind."""
     _check_sizes(g1, g2)
     (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2], quantize)[0]
-    return sorted(vw1.flat) == sorted(vw2.flat) and sorted(ww1.flat) == sorted(ww2.flat)
+    return np.array_equal(np.sort(vw1, axis=None), np.sort(vw2, axis=None)) and np.array_equal(
+        np.sort(ww1, axis=None), np.sort(ww2, axis=None)
+    )

@@ -107,12 +107,20 @@ class MilpInstance:
             raise InstanceError("c and b must be finite numbers, not NaN")
         if np.any(np.isinf(self.c)) or np.any(np.isinf(self.b)):
             raise InstanceError("c and b must be finite numbers, not infinite")
+        if np.any(np.isnan(self.lower)):
+            raise InstanceError(f"lower bound is NaN at variable {int(np.argmax(np.isnan(self.lower)))}")
+        if np.any(np.isnan(self.upper)):
+            raise InstanceError(f"upper bound is NaN at variable {int(np.argmax(np.isnan(self.upper)))}")
         if np.any(self.lower > self.upper):
             j = int(np.argmax(self.lower > self.upper))
             raise InstanceError(f"lower bound exceeds upper bound at variable {j}")
         k = self.a_rows.size
         if self.a_cols.size != k or self.a_vals.size != k:
             raise InstanceError("triplet arrays must have equal length")
+        if np.any(np.isnan(self.a_vals)):
+            raise InstanceError("entries of A must be finite numbers, not NaN")
+        if np.any(np.isinf(self.a_vals)):
+            raise InstanceError("entries of A must be finite numbers, not infinite")
         if k:
             if self.a_rows.min(initial=0) < 0 or (m and self.a_rows.max(initial=-1) >= m):
                 raise InstanceError("triplet row index out of range")
@@ -161,7 +169,8 @@ class MilpGraph:
     """Bipartite view: constraint nodes carry (b_i, sense_i), variable nodes
     carry (c_j, l_j, u_j, is_integer_j), edges carry the nonzero A entries.
 
-    Adjacency lists are sorted by index, so iteration order is deterministic.
+    The edges are the instance's own triplet arrays, sorted by (row, col), so
+    constraint i's edges are a contiguous run in row order.
     """
 
     m: int
@@ -172,33 +181,15 @@ class MilpGraph:
     lower: np.ndarray
     upper: np.ndarray
     integer: np.ndarray
-    edges: tuple[tuple[int, int, float], ...]
-    cons_neighbors: tuple[tuple[tuple[int, float], ...], ...]  # per i: (j, A_ij)
-    var_neighbors: tuple[tuple[tuple[int, float], ...], ...]  # per j: (i, A_ij)
+    a_rows: np.ndarray
+    a_cols: np.ndarray
+    a_vals: np.ndarray
 
-    def cons_feature(self, i: int) -> tuple[float, int]:
-        return (float(self.b[i]), int(self.senses[i]))
-
-    def var_feature(self, j: int) -> tuple[float, float, float, int]:
-        return (float(self.c[j]), float(self.lower[j]), float(self.upper[j]), int(self.integer[j]))
-
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.m, self.n))
-        for i, j, v in self.edges:
-            a[i, j] = v
-        return a
+    dense_matrix = MilpInstance.dense_matrix
 
 
 def build_graph(inst: MilpInstance) -> MilpGraph:
     """Build the bipartite graph view; edges are exactly the support of A."""
-    cons: list[list[tuple[int, float]]] = [[] for _ in range(inst.m)]
-    vari: list[list[tuple[int, float]]] = [[] for _ in range(inst.n)]
-    edges = []
-    for i, j, v in zip(inst.a_rows, inst.a_cols, inst.a_vals):
-        i, j, v = int(i), int(j), float(v)
-        edges.append((i, j, v))
-        cons[i].append((j, v))
-        vari[j].append((i, v))
     return MilpGraph(
         m=inst.m,
         n=inst.n,
@@ -208,9 +199,9 @@ def build_graph(inst: MilpInstance) -> MilpGraph:
         lower=inst.lower,
         upper=inst.upper,
         integer=inst.integer,
-        edges=tuple(edges),
-        cons_neighbors=tuple(tuple(sorted(adj)) for adj in cons),
-        var_neighbors=tuple(tuple(sorted(adj)) for adj in vari),
+        a_rows=inst.a_rows,
+        a_cols=inst.a_cols,
+        a_vals=inst.a_vals,
     )
 
 

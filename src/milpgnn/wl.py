@@ -1,20 +1,23 @@
 """Color refinement on the bipartite MILP graph, stable partitions, and the
 message-passing tractability check.
 
-Hashing is realized by canonical interning: every round builds the exact
-refinement signature (own color, sorted multiset of (neighbor color, edge
-weight)) and assigns dense integer ids through a dictionary, so the scheme is
-collision-free by construction.  Edge weights and node features enter
-signatures by the exact bit pattern of the double, with -0.0 read as 0.0; an
-optional quantization step size is available for noisy data and is off by
-default.
+A color is the id of an integer signature row, assigned by sorting all rows
+of a round at once (``np.unique`` over rows), so equal ids mean equal
+signatures and the scheme is collision-free by construction.  A round's
+signature is the node's own color followed by the sorted multiset of
+(neighbor color, edge weight) keys, padded to the largest degree.  Node
+features and edge weights enter as value ids: floats are numbered by value,
+so -0.0 and 0.0 share an id.  An optional quantization step size is
+available for noisy data and is off by default.  Several graphs are refined
+as their disjoint union, so colors stay comparable across them.  The
+fixpoint loop here also drives the pair refinement in ``fwl``.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .instance import MilpGraph, MilpInstance, build_graph
 
@@ -26,13 +29,6 @@ __all__ = [
     "is_mp_tractable",
     "wl_indistinguishable",
 ]
-
-
-def _fkey(v: float, quantize: float | None):
-    if quantize is not None and math.isfinite(v):
-        v = round(v / quantize) * quantize
-    # -0.0 + 0.0 is +0.0, so the two zeros, which compare equal, share one key
-    return struct.pack("<d", v + 0.0)
 
 
 @dataclass(frozen=True)
@@ -59,96 +55,117 @@ class StablePartition:
 
 def _group(colors) -> tuple[tuple[int, ...], ...]:
     by_color: dict[int, list[int]] = {}
-    for idx, c in enumerate(colors):
+    for idx, c in enumerate(np.asarray(colors).tolist()):
         by_color.setdefault(c, []).append(idx)
     return tuple(tuple(v) for v in sorted(by_color.values()))
 
 
-class _Interner:
-    def __init__(self):
-        self._table: dict = {}
-
-    def __call__(self, key) -> int:
-        return self._table.setdefault(key, len(self._table))
+def _ids(rows: np.ndarray) -> np.ndarray:
+    """Dense id of each row; equal ids iff equal rows."""
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def _initial_colors(graphs: list[MilpGraph], quantize):
-    intern = _Interner()
-    out = []
-    for g in graphs:
-        cv = [
-            intern(("V", _fkey(float(g.b[i]), quantize), int(g.senses[i])))
-            for i in range(g.m)
-        ]
-        cw = [
-            intern(
-                (
-                    "W",
-                    _fkey(float(g.c[j]), quantize),
-                    _fkey(float(g.lower[j]), quantize),
-                    _fkey(float(g.upper[j]), quantize),
-                    int(g.integer[j]),
-                )
-            )
-            for j in range(g.n)
-        ]
-        out.append((cv, cw))
-    return out
+def _disjoint(ids_a: np.ndarray, ids_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shift the second kind's ids past the first's so the two never overlap."""
+    return ids_a, ids_b + (int(ids_a.max()) + 1 if ids_a.size else 0)
 
 
-def _refine_once(graphs: list[MilpGraph], colorings, quantize):
-    """One joint round over all graphs with a shared interning dictionary, so
-    colors stay comparable across graphs."""
-    intern = _Interner()
-    out = []
-    for g, (cv, cw) in zip(graphs, colorings):
-        sig_v = [
-            ("V", cv[i], tuple(sorted((cw[j], _fkey(w, quantize)) for j, w in g.cons_neighbors[i])))
-            for i in range(g.m)
-        ]
-        sig_w = [
-            ("W", cw[j], tuple(sorted((cv[i], _fkey(w, quantize)) for i, w in g.var_neighbors[j])))
-            for j in range(g.n)
-        ]
-        out.append(([intern(s) for s in sig_v], [intern(s) for s in sig_w]))
-    return out
+def _class_count(colorings) -> int:
+    return np.unique(np.concatenate([np.ravel(a) for pair in colorings for a in pair])).size
 
 
-def _joint_partitions(colorings):
-    """Partition of the disjoint union of all graphs' nodes, used as the
-    stability criterion for joint refinement."""
-    flat = []
-    for cv, cw in colorings:
-        flat.extend(("V", c) for c in cv)
-        flat.extend(("W", c) for c in cw)
-    by_color: dict = {}
-    for idx, c in enumerate(flat):
-        by_color.setdefault(c, []).append(idx)
-    return frozenset(tuple(v) for v in by_color.values())
+def _fixpoint(colorings, refine_once):
+    """Refine until the class count stops growing.  Every signature holds the
+    old color, so a round can only split classes, and an equal count means an
+    equal partition.  Returns the last coloring before the round that changed
+    nothing, and the number of rounds that changed something."""
+    classes = _class_count(colorings)
+    rounds = 0
+    while True:
+        nxt = refine_once(colorings)
+        count = _class_count(nxt)
+        if count == classes:
+            return colorings, rounds
+        colorings, classes = nxt, count
+        rounds += 1
+
+
+def _node_keys(graphs: list[MilpGraph], quantize, weights: list[np.ndarray]):
+    """Feature ids of all constraint and all variable nodes, in graph order,
+    and value ids of the concatenated ``weights``.  Floats are compared by
+    value after optional quantization; infinite values are kept as they are."""
+    fields = [[getattr(g, name) for g in graphs] for name in ("b", "c", "lower", "upper")] + [weights]
+    parts = [np.concatenate(f).astype(float) for f in fields]
+    values = np.concatenate(parts)
+    if quantize is not None:
+        if not abs(quantize) > 0:
+            raise ValueError(f"quantize must be a nonzero step size, not {quantize!r}")
+        finite = np.isfinite(values)
+        values[finite] = np.round(values[finite] / quantize) * quantize
+    ids = np.unique(values, return_inverse=True)[1]
+    b, c, lower, upper, w = np.split(ids, np.cumsum([p.size for p in parts])[:-1])
+    senses = np.concatenate([g.senses for g in graphs])
+    integer = np.concatenate([g.integer for g in graphs])
+    kv = _ids(np.column_stack([b, senses]))
+    kw = _ids(np.column_stack([c, lower, upper, integer]))
+    return kv, kw, w
+
+
+def _signatures(colors: np.ndarray, node: np.ndarray, slot: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Rows (own color, sorted neighbor keys, -1 padding) of one node kind."""
+    width = int(slot.max()) + 1 if slot.size else 0
+    nb = np.full((colors.size, width), -1, dtype=np.int64)
+    nb[node, slot] = keys
+    nb.sort(axis=1)
+    return np.column_stack([colors, nb])
+
+
+def _slots(node: np.ndarray) -> np.ndarray:
+    """Position of each edge among the edges of its node."""
+    order = np.argsort(node, kind="stable")
+    grouped = node[order]
+    slot = np.empty_like(node)
+    slot[order] = np.arange(node.size) - np.searchsorted(grouped, grouped)
+    return slot
+
+
+def _refiner(graphs: list[MilpGraph], quantize):
+    """Initial colors of each graph, and one refinement round over the
+    disjoint union of the graphs."""
+    kv, kw, wid = _node_keys(graphs, quantize, [g.a_vals for g in graphs])
+    ms = np.cumsum([0] + [g.m for g in graphs])
+    ns = np.cumsum([0] + [g.n for g in graphs])
+    rows = np.concatenate([g.a_rows + off for g, off in zip(graphs, ms)])
+    cols = np.concatenate([g.a_cols + off for g, off in zip(graphs, ns)])
+    slot_v, slot_w = _slots(rows), _slots(cols)
+    weights = int(wid.max()) + 1 if wid.size else 1
+
+    def split(cv, cw):
+        return list(zip(np.split(cv, ms[1:-1]), np.split(cw, ns[1:-1])))
+
+    def refine_once(colorings):
+        cv = np.concatenate([v for v, _ in colorings])
+        cw = np.concatenate([w for _, w in colorings])
+        sig_v = _signatures(cv, rows, slot_v, cw[cols] * weights + wid)
+        sig_w = _signatures(cw, cols, slot_w, cv[rows] * weights + wid)
+        return split(*_disjoint(_ids(sig_v), _ids(sig_w)))
+
+    return split(*_disjoint(kv, kw)), refine_once
 
 
 def _refine_to_stability(graphs: list[MilpGraph], quantize):
-    colorings = _initial_colors(graphs, quantize)
-    part = _joint_partitions(colorings)
-    rounds = 0
-    while True:
-        nxt = _refine_once(graphs, colorings, quantize)
-        nxt_part = _joint_partitions(nxt)
-        if nxt_part == part:
-            return colorings, rounds
-        colorings, part = nxt, nxt_part
-        rounds += 1
+    return _fixpoint(*_refiner(graphs, quantize))
 
 
 def wl_refine(g: MilpGraph, rounds: int, quantize: float | None = None) -> Coloring:
     """Run exactly ``rounds`` refinement rounds; round 0 is features only."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    colorings = _initial_colors([g], quantize)
+    colorings, refine_once = _refiner([g], quantize)
     for _ in range(rounds):
-        colorings = _refine_once([g], colorings, quantize)
+        colorings = refine_once(colorings)
     cv, cw = colorings[0]
-    return Coloring(round=rounds, colors_v=tuple(cv), colors_w=tuple(cw))
+    return Coloring(round=rounds, colors_v=tuple(cv.tolist()), colors_w=tuple(cw.tolist()))
 
 
 def stable_partition(g: MilpGraph, quantize: float | None = None) -> StablePartition:
@@ -161,6 +178,14 @@ def stable_partition(g: MilpGraph, quantize: float | None = None) -> StableParti
     )
 
 
+def _blocks(classes, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class index of each member, and the first member of each class."""
+    label = np.empty(size, dtype=np.int64)
+    for p, cls in enumerate(classes):
+        label[list(cls)] = p
+    return label, np.array([cls[0] for cls in classes], dtype=np.int64)
+
+
 def is_mp_tractable(
     inst: MilpInstance, quantize: float | None = None
 ) -> tuple[bool, tuple[int, int, int, int, int, int] | None]:
@@ -168,25 +193,19 @@ def is_mp_tractable(
     included, must be a constant matrix.
 
     Returns (True, None) or (False, (p, q, i, i2, j, j2)) where
-    A[i, j] != A[i2, j2] inside block (p, q)."""
+    A[i, j] != A[i2, j2] inside block (p, q), i and j are the first row and
+    column of the block, and (p, q, i2, j2) is the smallest such tuple."""
     g = build_graph(inst)
     part = stable_partition(g, quantize)
     a = inst.dense_matrix()
-    for p, block_rows in enumerate(part.classes_v):
-        for q, block_cols in enumerate(part.classes_w):
-            sub = a[list(block_rows)][:, list(block_cols)]
-            if sub.size == 0:
-                continue
-            ref = sub.flat[0]
-            if (sub == ref).all():
-                continue
-            # locate one offending pair of entries
-            i0, j0 = block_rows[0], block_cols[0]
-            for bi, i in enumerate(block_rows):
-                for bj, j in enumerate(block_cols):
-                    if sub[bi, bj] != ref:
-                        return False, (p, q, i0, i, j0, j)
-    return True, None
+    block_v, first_v = _blocks(part.classes_v, inst.m)
+    block_w, first_w = _blocks(part.classes_w, inst.n)
+    ii, jj = np.nonzero(a != a[np.ix_(first_v[block_v], first_w[block_w])])
+    if not ii.size:
+        return True, None
+    k = np.lexsort((jj, ii, block_w[jj], block_v[ii]))[0]
+    p, q = int(block_v[ii[k]]), int(block_w[jj[k]])
+    return False, (p, q, int(first_v[p]), int(ii[k]), int(first_w[q]), int(jj[k]))
 
 
 def wl_indistinguishable(g1: MilpGraph, g2: MilpGraph, quantize: float | None = None) -> bool:
@@ -195,4 +214,4 @@ def wl_indistinguishable(g1: MilpGraph, g2: MilpGraph, quantize: float | None = 
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
     (cv1, cw1), (cv2, cw2) = _refine_to_stability([g1, g2], quantize)[0]
-    return sorted(cv1) == sorted(cv2) and cw1 == cw2
+    return np.array_equal(np.sort(cv1), np.sort(cv2)) and np.array_equal(cw1, cw2)

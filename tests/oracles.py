@@ -4,10 +4,16 @@ Nothing here calls the package's LP or QP code: optima come from enumerating
 candidate active sets, and the minimum-norm point on the optimal face from a
 dense pseudo-inverse projection.  Exponential in problem size by design —
 only for small instances.
+
+The color-refinement references at the end intern exact signature tuples
+through a dictionary, node by node and pair by pair, and find tractability
+witnesses by a nested loop over every block entry.  They call nothing in the
+package's ``wl`` or ``fwl`` modules.
 """
 
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -138,3 +144,160 @@ def finite_difference_grad(fn, arrays, h=1e-5, samples=40, seed=0):
         fm = fn()
         arr[idx] = orig
         yield ai, idx, (fp - fm) / (2.0 * h)
+
+
+# --------------------------------------------------------------------------
+# color refinement: dictionary interning of exact signature tuples
+
+
+def _fkey(v: float, quantize):
+    if quantize is not None and math.isfinite(v):
+        v = round(v / quantize) * quantize
+    # -0.0 + 0.0 is +0.0, so the two zeros, which compare equal, share one key
+    return struct.pack("<d", v + 0.0)
+
+
+class _Interner:
+    def __init__(self):
+        self._table: dict = {}
+
+    def __call__(self, key) -> int:
+        return self._table.setdefault(key, len(self._table))
+
+
+def _group(colors):
+    by_color: dict = {}
+    for idx, c in enumerate(colors):
+        by_color.setdefault(c, []).append(idx)
+    return tuple(tuple(v) for v in sorted(by_color.values()))
+
+
+def _joint_partition(colorings):
+    """Partition of the disjoint union of every color array's cells."""
+    by_color: dict = {}
+    idx = 0
+    for kind, colors in enumerate(itertools.chain.from_iterable(colorings)):
+        for c in np.asarray(colors).flat:
+            by_color.setdefault((kind % 2, int(c)), []).append(idx)
+            idx += 1
+    return frozenset(tuple(v) for v in by_color.values())
+
+
+def _to_stability(colorings, refine_once):
+    part = _joint_partition(colorings)
+    rounds = 0
+    while True:
+        nxt = refine_once(colorings)
+        nxt_part = _joint_partition(nxt)
+        if nxt_part == part:
+            return colorings, rounds
+        colorings, part = nxt, nxt_part
+        rounds += 1
+
+
+def _wl_to_stability(graphs, quantize):
+    intern = _Interner()
+    colorings, adjacency = [], []
+    for g in graphs:
+        cons = [[] for _ in range(g.m)]
+        var = [[] for _ in range(g.n)]
+        for i, j, w in zip(g.a_rows.tolist(), g.a_cols.tolist(), g.a_vals.tolist()):
+            cons[i].append((j, w))
+            var[j].append((i, w))
+        adjacency.append((cons, var))
+        cv = [intern(("V", _fkey(float(g.b[i]), quantize), int(g.senses[i]))) for i in range(g.m)]
+        cw = [
+            intern(("W", *(_fkey(float(x[j]), quantize) for x in (g.c, g.lower, g.upper)), int(g.integer[j])))
+            for j in range(g.n)
+        ]
+        colorings.append((cv, cw))
+
+    def refine_once(colorings):
+        intern = _Interner()
+        out = []
+        for (cons, var), (cv, cw) in zip(adjacency, colorings):
+            sig_v = [("V", cv[i], tuple(sorted((cw[j], _fkey(w, quantize)) for j, w in nb))) for i, nb in enumerate(cons)]
+            sig_w = [("W", cw[j], tuple(sorted((cv[i], _fkey(w, quantize)) for i, w in nb))) for j, nb in enumerate(var)]
+            out.append(([intern(s) for s in sig_v], [intern(s) for s in sig_w]))
+        return out
+
+    return _to_stability(colorings, refine_once)
+
+
+def stable_partition(g, quantize=None):
+    """(classes_v, classes_w, rounds_to_converge) of WL refinement on one graph."""
+    ((cv, cw),), rounds = _wl_to_stability([g], quantize)
+    return _group(cv), _group(cw), rounds
+
+
+def wl_indistinguishable(g1, g2, quantize=None) -> bool:
+    (cv1, cw1), (cv2, cw2) = _wl_to_stability([g1, g2], quantize)[0]
+    return sorted(cv1) == sorted(cv2) and cw1 == cw2
+
+
+def mp_tractability_witness(inst, quantize=None):
+    """None if every stable-partition block of A is constant, else the first
+    (p, q, i, i2, j, j2) with A[i, j] != A[i2, j2], where (i, j) is the first
+    entry of block (p, q), scanning p, q, i2, j2 in order."""
+    from milpgnn.instance import build_graph
+
+    classes_v, classes_w, _ = stable_partition(build_graph(inst), quantize)
+    a = inst.dense_matrix()
+    for p, rows in enumerate(classes_v):
+        for q, cols in enumerate(classes_w):
+            for i in rows:
+                for j in cols:
+                    if a[i, j] != a[rows[0], cols[0]]:
+                        return (p, q, rows[0], i, cols[0], j)
+    return None
+
+
+def _fwl2_to_stability(graphs, quantize):
+    intern = _Interner()
+    colorings = []
+    for g in graphs:
+        a = g.dense_matrix()
+        vkeys = [(_fkey(float(g.b[i]), quantize), int(g.senses[i])) for i in range(g.m)]
+        wkeys = [
+            (*(_fkey(float(x[j]), quantize) for x in (g.c, g.lower, g.upper)), int(g.integer[j]))
+            for j in range(g.n)
+        ]
+        vw = [[intern(("VW", vkeys[i], wkeys[j], _fkey(a[i, j], quantize))) for j in range(g.n)] for i in range(g.m)]
+        ww = [[intern(("WW", wkeys[j1], wkeys[j2], int(j1 == j2))) for j2 in range(g.n)] for j1 in range(g.n)]
+        colorings.append((vw, ww))
+
+    def refine_once(colorings):
+        intern = _Interner()
+        out = []
+        for vw, ww in colorings:
+            m, n = len(vw), len(ww)
+            nvw = [
+                [intern(("VW", vw[i][j], tuple(sorted((ww[j1][j], vw[i][j1]) for j1 in range(n))))) for j in range(n)]
+                for i in range(m)
+            ]
+            nww = [
+                [intern(("WW", ww[j1][j2], tuple(sorted((vw[i][j2], vw[i][j1]) for i in range(m))))) for j2 in range(n)]
+                for j1 in range(n)
+            ]
+            out.append((nvw, nww))
+        return out
+
+    return _to_stability(colorings, refine_once)
+
+
+def fwl2_stable(g, quantize=None):
+    """(class count, rounds) of 2-FWL refinement on one graph."""
+    ((vw, ww),), rounds = _fwl2_to_stability([g], quantize)
+    return len({c for row in vw for c in row} | {c for row in ww for c in row}), rounds
+
+
+def fwl2_indistinguishable(g1, g2, quantize=None) -> bool:
+    (vw1, ww1), (vw2, ww2) = _fwl2_to_stability([g1, g2], quantize)[0]
+    flat = lambda rows: sorted(c for row in rows for c in row)
+    return flat(vw1) == flat(vw2) and flat(ww1) == flat(ww2)
+
+
+def fwl2_indistinguishable_W(g1, g2, quantize=None) -> bool:
+    (vw1, ww1), (vw2, ww2) = _fwl2_to_stability([g1, g2], quantize)[0]
+    column = lambda rows, j: sorted(row[j] for row in rows)
+    return all(column(vw1, j) == column(vw2, j) and column(ww1, j) == column(ww2, j) for j in range(g1.n))

@@ -58,6 +58,23 @@ class TestValidation:
         with pytest.raises(InstanceError, match="infinite"):
             dataclasses.replace(inst, **{field: arr})
 
+    @pytest.mark.parametrize("field", ["lower", "upper"])
+    def test_nan_bound_rejected(self, field):
+        inst = tiny()
+        arr = getattr(inst, field).copy()
+        arr[2] = np.nan
+        with pytest.raises(InstanceError, match=f"{field} bound is NaN at variable 2"):
+            dataclasses.replace(inst, **{field: arr})
+
+    def test_nan_matrix_entry_rejected(self):
+        with pytest.raises(InstanceError, match="entries of A .* not NaN"):
+            dataclasses.replace(tiny(), a_vals=np.array([2.0, np.nan, -3.0]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_matrix_entry_rejected(self, value):
+        with pytest.raises(InstanceError, match="entries of A .* not infinite"):
+            dataclasses.replace(tiny(), a_vals=np.array([2.0, value, -3.0]))
+
     def test_explicit_zero_rejected(self):
         with pytest.raises(InstanceError, match="zero"):
             MilpInstance(
@@ -133,14 +150,17 @@ class TestGraph:
     def test_edges_match_support(self):
         inst = tiny()
         g = build_graph(inst)
-        assert {(i, j) for i, j, _ in g.edges} == {(0, 0), (0, 2), (1, 1)}
+        assert set(zip(g.a_rows.tolist(), g.a_cols.tolist())) == {(0, 0), (0, 2), (1, 1)}
+        assert set(zip(*np.nonzero(inst.dense_matrix()))) == {(0, 0), (0, 2), (1, 1)}
+        assert np.array_equal(g.dense_matrix(), inst.dense_matrix())
 
     def test_adjacency_sorted(self):
-        g = build_graph(gen_random(3))
-        for nb in g.cons_neighbors:
-            assert list(nb) == sorted(nb)
-        for nb in g.var_neighbors:
-            assert list(nb) == sorted(nb)
+        inst = gen_random(3)
+        g = build_graph(inst)
+        assert g.a_rows is inst.a_rows and g.a_cols is inst.a_cols and g.a_vals is inst.a_vals
+        keys = g.a_rows * g.n + g.a_cols
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(g.dense_matrix(), inst.dense_matrix())
 
 
 class TestPermute:

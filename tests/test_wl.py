@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milpgnn.fwl import fwl2_indistinguishable
+import oracles
+from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W, fwl2_refine, fwl2_stable
 from milpgnn.gen import counterexample_pair, gen_random
 from milpgnn.instance import MilpInstance, Sense, build_graph, permute
-from milpgnn.wl import is_mp_tractable, stable_partition, wl_indistinguishable, wl_refine
+from milpgnn.wl import StablePartition, is_mp_tractable, stable_partition, wl_indistinguishable, wl_refine
 
 
 def three_var_example() -> MilpInstance:
@@ -157,10 +158,10 @@ ZERO_HEAVY = [0.0, -0.0, 1.0, -1.0, 2.0]
 
 
 @st.composite
-def zero_heavy_instances(draw):
+def zero_heavy_instances(draw, shape=None):
     """Small instances whose c, b and finite bounds are often +0.0 or -0.0.
     A holds no zeros at all: its support excludes them by construction."""
-    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    m, n = shape or (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
     vals = st.sampled_from(ZERO_HEAVY)
     bounds = []
     for _ in range(n):
@@ -222,6 +223,13 @@ class TestSignedZero:
         assert wl_indistinguishable(build_graph(cycle), build_graph(twin))
         assert fwl2_indistinguishable(build_graph(cycle), build_graph(twin))
 
+    @pytest.mark.parametrize("step", [0.0, float("nan")])
+    def test_quantize_needs_a_nonzero_step(self, step):
+        g = build_graph(three_var_example())
+        for check in (stable_partition, fwl2_stable):
+            with pytest.raises(ValueError, match="nonzero step"):
+                check(g, quantize=step)
+
     def test_quantize_accepts_infinite_bounds(self):
         inst = MilpInstance(
             m=1, n=3, c=[0.1, -0.1, 0.1], b=[1.0], senses=[Sense.GE],
@@ -232,3 +240,86 @@ class TestSignedZero:
         assert stable_partition(g, quantize=0.5).classes_w == ((0, 1), (2,))
         assert stable_partition(g).classes_w == ((0,), (1,), (2,))
         assert fwl2_indistinguishable(g, g, quantize=0.5)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two tie-heavy instances of one shape: an independent draw, or a
+    relabelling of the first."""
+    a = draw(zero_heavy_instances())
+    if draw(st.booleans()):
+        return a, draw(zero_heavy_instances((a.m, a.n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return a, permute(a, rng.permutation(a.m), rng.permutation(a.n))
+
+
+class TestAgainstOracle:
+    """The array engine against the dictionary-interning references."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(pair=same_shape_pairs(), quantize=st.sampled_from([None, 0.5]))
+    def test_refinement_matches_reference(self, pair, quantize):
+        a, b = pair
+        ga, gb = build_graph(a), build_graph(b)
+        for inst, g in ((a, ga), (b, gb)):
+            part = stable_partition(g, quantize)
+            assert (part.classes_v, part.classes_w, part.rounds_to_converge) == oracles.stable_partition(g, quantize)
+            assert is_mp_tractable(inst, quantize)[1] == oracles.mp_tractability_witness(inst, quantize)
+            pairs = fwl2_stable(g, quantize)
+            assert (pairs.class_count(), pairs.round) == oracles.fwl2_stable(g, quantize)
+        assert wl_indistinguishable(ga, gb, quantize) == oracles.wl_indistinguishable(ga, gb, quantize)
+        assert fwl2_indistinguishable(ga, gb, quantize) == oracles.fwl2_indistinguishable(ga, gb, quantize)
+        assert fwl2_indistinguishable_W(ga, gb, quantize) == oracles.fwl2_indistinguishable_W(ga, gb, quantize)
+
+    def test_witness_is_first_in_block_order(self):
+        # column classes {0, 5}, {1, 3}, {2, 4}: block (0, 0) offends at
+        # (0, 5), after (0, 4) in row-major order but first in block order
+        a = np.array([[0.0, 0.0, 0.0, 0.0, 1.0, 2.0], [2.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+        rows, cols = np.nonzero(a)
+        inst = MilpInstance(
+            m=2, n=6, c=np.ones(6), b=np.ones(2), senses=np.zeros(2, dtype=np.int8),
+            lower=np.zeros(6), upper=np.ones(6), integer=np.ones(6, dtype=bool),
+            a_rows=rows, a_cols=cols, a_vals=a[rows, cols],
+        )
+        assert is_mp_tractable(inst) == (False, (0, 0, 0, 0, 0, 5))
+        for inst in (inst, *counterexample_pair()):
+            assert is_mp_tractable(inst)[1] == oracles.mp_tractability_witness(inst)
+
+
+def no_edges(m, n, c=None, b=None) -> MilpInstance:
+    return MilpInstance(
+        m=m, n=n, c=np.ones(n) if c is None else c, b=np.zeros(m) if b is None else b,
+        senses=np.zeros(m, dtype=np.int8), lower=np.zeros(n), upper=np.ones(n),
+        integer=np.zeros(n, dtype=bool), a_rows=[], a_cols=[], a_vals=[],
+    )
+
+
+class TestDegenerateShapes:
+    """No constraints, no variables, or no nonzeros in A."""
+
+    @pytest.mark.parametrize(
+        "a, b, classes, classes_b, pair_classes, verdicts",
+        [
+            # m = 0: variables differ in c only
+            (no_edges(0, 3), no_edges(0, 3, c=[1.0, 2.0, 1.0]), ((), ((0, 1, 2),)), ((), ((0, 2), (1,))), (2, 5), (False, False, False)),
+            # n = 0: constraints differ in b only; no pairs are left for 2-FWL
+            (no_edges(2, 0), no_edges(2, 0, b=[0.0, 1.0]), (((0, 1),), ()), (((0,), (1,)), ()), (0, 0), (False, True, True)),
+            # nnz = 0
+            (
+                no_edges(2, 3, b=[1.0, 0.0]), no_edges(2, 3, c=[1.0, 2.0, 1.0]),
+                (((0,), (1,)), ((0, 1, 2),)), (((0, 1),), ((0, 2), (1,))), (4, 7), (False, False, False),
+            ),
+        ],
+    )
+    def test_every_check_runs(self, a, b, classes, classes_b, pair_classes, verdicts):
+        ga, gb = build_graph(a), build_graph(b)
+        assert wl_refine(ga, 2).partition() == classes
+        assert stable_partition(ga) == StablePartition(*classes, rounds_to_converge=0)
+        assert stable_partition(gb) == StablePartition(*classes_b, rounds_to_converge=0)
+        assert is_mp_tractable(a) == (True, None) and is_mp_tractable(b) == (True, None)
+        col = fwl2_refine(ga, 1)
+        assert col.colors_vw.shape == (a.m, a.n) and col.colors_ww.shape == (a.n, a.n)
+        assert col.class_count() == pair_classes[0]
+        assert [(s.round, s.class_count()) for s in (fwl2_stable(ga), fwl2_stable(gb))] == [(0, k) for k in pair_classes]
+        assert (wl_indistinguishable(ga, ga), fwl2_indistinguishable(ga, ga), fwl2_indistinguishable_W(ga, ga)) == (True, True, True)
+        assert (wl_indistinguishable(ga, gb), fwl2_indistinguishable(ga, gb), fwl2_indistinguishable_W(ga, gb)) == verdicts
