@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Train a surrogate on the two-instance counterexample dataset and record
 the loss curve.  Supports resuming from a saved parameter file so long runs
-can proceed in bounded chunks.
+can proceed in bounded chunks; a resumed run must ask for the saved
+network's --arch, --dim and --layers, or it exits with status 2.
 
 Usage:
     python3 scripts/train_counterexample.py --arch fgnn2 --dim 64 \
@@ -50,6 +51,16 @@ def main() -> int:
     start_epoch = 0
     if args.resume and os.path.exists(params_path):
         params = nn.load_params(params_path)
+        saved = (params.kind, params.dim, params.layers)
+        asked = (args.arch, args.dim, args.layers)
+        if saved != asked:
+            print(
+                "cannot resume: {} holds arch {} dim {} layers {}, but the command asks for arch {} dim {} layers {}".format(
+                    params_path, *saved, *asked
+                ),
+                file=sys.stderr,
+            )
+            return 2
         with open(state_path) as fh:
             start_epoch = json.load(fh)["epochs_done"]
         print(f"resuming from epoch {start_epoch}")

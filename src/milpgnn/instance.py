@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import IO, Sequence
 
@@ -47,6 +47,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _fieldwise_eq(self, other) -> bool:
+    """Same class and every field equal by ``np.array_equal``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -144,27 +151,11 @@ class MilpInstance:
         a[self.a_rows, self.a_cols] = self.a_vals
         return a
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MilpInstance):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.n == other.n
-            and np.array_equal(self.c, other.c)
-            and np.array_equal(self.b, other.b)
-            and np.array_equal(self.senses, other.senses)
-            and np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
-            and np.array_equal(self.integer, other.integer)
-            and np.array_equal(self.a_rows, other.a_rows)
-            and np.array_equal(self.a_cols, other.a_cols)
-            and np.array_equal(self.a_vals, other.a_vals)
-        )
-
+    __eq__ = _fieldwise_eq
     __hash__ = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpGraph:
     """Bipartite view: constraint nodes carry (b_i, sense_i), variable nodes
     carry (c_j, l_j, u_j, is_integer_j), edges carry the nonzero A entries.
@@ -186,6 +177,8 @@ class MilpGraph:
     a_vals: np.ndarray
 
     dense_matrix = MilpInstance.dense_matrix
+    __eq__ = _fieldwise_eq
+    __hash__ = None
 
 
 def build_graph(inst: MilpInstance) -> MilpGraph:

@@ -8,12 +8,17 @@ hidden activations and a linear last layer, and the readout is a 2-layer MLP
 ending in a scalar.  Message terms multiply by the matrix entry, so an absent
 edge contributes exactly zero.
 
-The MP-GNN has one implementation, over batches of same-shape graphs
-(``mpgnn_batch_forward`` and its backward pass).  A single graph runs as a
-batch of one.  A list of (graph, target) pairs is grouped by (m, n) in the
-order each shape first appears, one batch per shape, and loss and gradients
-are summed over the groups in that order, so accumulation is deterministic.
-The 2-FGNN runs graph by graph.
+Each architecture has one implementation, over batches of same-shape graphs
+(``mpgnn_batch_forward``, ``fgnn2_batch_forward`` and their backward
+passes).  A single graph runs as a batch of one.  A list of (graph, target)
+pairs is grouped by (m, n) in the order each shape first appears, one batch
+per shape, and loss and gradients are summed over the groups in that order,
+so accumulation is deterministic.  The 2-FGNN's pair maps f and g take the
+two halves of their input as broadcast operands, so the first layer is
+applied to each half on its own rows (as in the pair-tensor networks of
+Maron et al., "Provably Powerful Graph Networks", NeurIPS 2019) and the
+concatenated pair-of-pairs tensor is never built.  An MLP's backward pass
+takes each ReLU mask from the stored layer output.
 
 Everything runs on plain numpy float64; gradients are checked against central
 finite differences in the test suite.
@@ -43,6 +48,7 @@ __all__ = [
     "BatchedGraphs",
     "batch_graphs",
     "mpgnn_batch_forward",
+    "fgnn2_batch_forward",
     "loss",
     "grad",
     "train",
@@ -79,34 +85,67 @@ class Mlp:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    def forward(self, x: np.ndarray):
-        """x: (..., in_dim).  Returns (y, cache)."""
+    def forward(self, x: np.ndarray, x2: np.ndarray | None = None):
+        """x: (..., in_dim).  Returns (y, cache).
+
+        With x2 the input is the concatenation [x, x2] of two operands of one
+        shape (..., k) and (..., in_dim - k), and it is never built.  Either
+        operand may be a broadcast view (``np.broadcast_to``): the first
+        layer multiplies each by its rows of W on the operand's distinct rows
+        only (axes of stride 0 cut to length 1) and broadcasts the sum."""
         lead = x.shape[:-1]
-        h = x.reshape(-1, x.shape[-1])
-        inputs = []
+        w0 = self.weights[0]
+        if x2 is None:
+            operands = (x,)
+            h = _rows_matmul(x, w0)
+        else:
+            operands = (_distinct(x), _distinct(x2))
+            half = x.shape[-1]
+            h = _rows_matmul(operands[0], w0[:half]) + _rows_matmul(operands[1], w0[half:])
+        h = h.reshape(-1, w0.shape[1])
+        # every layer output is kept: it is the next layer's input, and its
+        # sign is the ReLU mask backward needs
+        outs = []
         last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            inputs.append(h)
-            h = h @ w + b
+        for k in range(len(self.weights)):
+            if k:
+                h = outs[-1] @ self.weights[k]
+            h += self.biases[k]
             if k < last or self.output_relu:
-                h = np.maximum(h, 0.0)
-        return h.reshape(*lead, -1), (lead, inputs, h)
+                np.maximum(h, 0.0, out=h)
+            outs.append(h)
+        return h.reshape(*lead, h.shape[1]), (lead, outs, operands)
 
     def backward(self, cache, dy: np.ndarray):
-        """Returns (dx, grads) with grads ordered [dW0, db0, dW1, db1, ...]."""
-        lead, inputs, out = cache
+        """Returns (dx, grads) with grads ordered [dW0, db0, dW1, db1, ...].
+        For two operands dx is a pair, each summed over its operand's
+        broadcast axes (kept with length 1)."""
+        lead, outs, operands = cache
         d = dy.reshape(-1, dy.shape[-1])
         last = len(self.weights) - 1
         grads: list[np.ndarray] = [None] * (2 * len(self.weights))
         for k in range(last, -1, -1):
             if k < last or self.output_relu:
-                # recompute the layer output mask from the cached input
-                z = inputs[k] @ self.weights[k] + self.biases[k]
-                d = d * (z > 0.0)
-            grads[2 * k] = inputs[k].T @ d
+                # relu(z) > 0 exactly where z > 0, so the stored output is the mask
+                d = d * (outs[k] > 0.0)
             grads[2 * k + 1] = d.sum(axis=0)
-            d = d @ self.weights[k].T
-        return d.reshape(*lead, -1), grads
+            if k:
+                grads[2 * k] = outs[k - 1].T @ d
+                d = d @ self.weights[k].T
+        w0 = self.weights[0]
+        if len(operands) == 1:
+            grads[0] = operands[0].reshape(-1, w0.shape[0]).T @ d
+            return (d @ w0.T).reshape(*lead, w0.shape[0]), grads
+        half = operands[0].shape[-1]
+        d = d.reshape(*lead, d.shape[-1])
+        dxs, dws = [], []
+        for op, w in zip(operands, (w0[:half], w0[half:])):
+            axes = tuple(ax for ax, (a, b) in enumerate(zip(op.shape, lead)) if a != b)
+            d_op = d.sum(axis=axes, keepdims=True)
+            dws.append(op.reshape(-1, op.shape[-1]).T @ d_op.reshape(-1, d.shape[-1]))
+            dxs.append(_rows_matmul(d_op, w.T))
+        grads[0] = np.concatenate(dws)
+        return tuple(dxs), grads
 
     def param_arrays(self) -> list[np.ndarray]:
         out = []
@@ -114,6 +153,16 @@ class Mlp:
             out.append(w)
             out.append(b)
         return out
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """x with every leading axis of stride 0 (a broadcast axis) cut to length 1."""
+    return x[tuple(slice(0, 1) if st == 0 else slice(None) for st in x.strides[:-1])]
+
+
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w as one matrix product over the rows of x: (..., k) -> (..., w.shape[1])."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
 @dataclass
@@ -129,13 +178,15 @@ class GnnParams:
     msg_layers: list[dict[str, Mlp]]  # per layer: p, q, f, g
     readout: Mlp
 
-    def flat(self) -> list[np.ndarray]:
-        arrays = self.p0.param_arrays() + self.q0.param_arrays()
+    def mlps(self) -> list[Mlp]:
+        """Every map, in the order of flat()."""
+        maps = [self.p0, self.q0]
         for layer in self.msg_layers:
-            for name in ("p", "q", "f", "g"):
-                arrays += layer[name].param_arrays()
-        arrays += self.readout.param_arrays()
-        return arrays
+            maps += [layer[name] for name in ("p", "q", "f", "g")]
+        return maps + [self.readout]
+
+    def flat(self) -> list[np.ndarray]:
+        return [a for mlp in self.mlps() for a in mlp.param_arrays()]
 
     def copy(self) -> "GnnParams":
         def cp(m: Mlp) -> Mlp:
@@ -324,92 +375,84 @@ def mpgnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
 # second-order folklore network
 
 
-def fgnn2_forward(params: GnnParams, g: MilpGraph, want_cache: bool = False):
-    """Pair features over (constraint, variable) and (variable, variable);
-    outputs y_j = readout(sum_i s_ij, sum_j1 t_{j1 j})."""
+def fgnn2_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: bool = False):
+    """Pair features over (constraint, variable) and (variable, variable)
+    pairs of each graph in the batch; outputs y_j = readout(sum_i s_ij,
+    sum_j1 t_{j1 j}).  The pair maps f and g see their two operands as
+    broadcast views, so their first layer runs on the operands' own rows."""
     if params.kind != "fgnn2":
         raise ValueError("params are not for the folklore network")
-    xv, xw, a = encode_graph(g)
-    m, n = g.m, g.n
+    xv, xw, a = batch.xv, batch.xw, batch.a
+    bsz, m, n = a.shape
     d = params.dim
-
     s_in = np.concatenate(
         [
-            np.broadcast_to(xv[:, None, :], (m, n, CONS_FEATURES)),
-            np.broadcast_to(xw[None, :, :], (m, n, VAR_FEATURES)),
-            a[:, :, None],
+            np.broadcast_to(xv[:, :, None, :], (bsz, m, n, CONS_FEATURES)),
+            np.broadcast_to(xw[:, None, :, :], (bsz, m, n, VAR_FEATURES)),
+            a[..., None],
         ],
-        axis=2,
+        axis=3,
     )
     t_in = np.concatenate(
         [
-            np.broadcast_to(xw[:, None, :], (n, n, VAR_FEATURES)),
-            np.broadcast_to(xw[None, :, :], (n, n, VAR_FEATURES)),
-            np.eye(n)[:, :, None],
+            np.broadcast_to(xw[:, :, None, :], (bsz, n, n, VAR_FEATURES)),
+            np.broadcast_to(xw[:, None, :, :], (bsz, n, n, VAR_FEATURES)),
+            np.broadcast_to(np.eye(n)[None, :, :, None], (bsz, n, n, 1)),
         ],
-        axis=2,
+        axis=3,
     )
-    s, s_cache = params.p0.forward(s_in)  # (m, n, d)
-    t, t_cache = params.q0.forward(t_in)  # (n, n, d)
+    s, s_cache = params.p0.forward(s_in)  # (B, m, n, d)
+    t, t_cache = params.q0.forward(t_in)  # (B, n, n, d)
 
     layer_caches = []
     for layer in params.msg_layers:
-        # message into s[i, j]: sum over j1 of f(t[j1, j], s[i, j1])
-        zs = np.concatenate(
-            [
-                np.broadcast_to(np.transpose(t, (1, 0, 2))[None, :, :, :], (m, n, n, d)),
-                np.broadcast_to(s[:, None, :, :], (m, n, n, d)),
-            ],
-            axis=3,
+        # message into s[i, j]: sum over j1 of f(t[j1, j], s[i, j1]); axes (B, i, j, j1)
+        f_out, f_c = layer["f"].forward(
+            np.broadcast_to(np.transpose(t, (0, 2, 1, 3))[:, None], (bsz, m, n, n, d)),
+            np.broadcast_to(s[:, :, None], (bsz, m, n, n, d)),
         )
-        f_out, f_c = layer["f"].forward(zs)
-        s_new, p_c = layer["p"].forward(np.concatenate([s, f_out.sum(axis=2)], axis=2))
-        # message into t[j1, j2]: sum over i of g(s[i, j2], s[i, j1])
-        zt = np.concatenate(
-            [
-                np.broadcast_to(np.transpose(s, (1, 0, 2))[None, :, :, :], (n, n, m, d)),
-                np.broadcast_to(np.transpose(s, (1, 0, 2))[:, None, :, :], (n, n, m, d)),
-            ],
-            axis=3,
+        s_new, p_c = layer["p"].forward(np.concatenate([s, f_out.sum(axis=3)], axis=3))
+        # message into t[j1, j2]: sum over i of g(s[i, j2], s[i, j1]); axes (B, j1, j2, i)
+        st = np.transpose(s, (0, 2, 1, 3))  # (B, n, m, d)
+        g_out, g_c = layer["g"].forward(
+            np.broadcast_to(st[:, None], (bsz, n, n, m, d)),
+            np.broadcast_to(st[:, :, None], (bsz, n, n, m, d)),
         )
-        g_out, g_c = layer["g"].forward(zt)
-        t_new, q_c = layer["q"].forward(np.concatenate([t, g_out.sum(axis=2)], axis=2))
+        t_new, q_c = layer["q"].forward(np.concatenate([t, g_out.sum(axis=3)], axis=3))
         layer_caches.append((f_c, p_c, g_c, q_c))
         s, t = s_new, t_new
 
-    us = s.sum(axis=0)  # (n, d)
-    ut = t.sum(axis=0)  # (n, d), sums t[j1, j] over j1
-    y, r_c = params.readout.forward(np.concatenate([us, ut], axis=1))
-    y = y[:, 0]
+    us = s.sum(axis=1)  # (B, n, d)
+    ut = t.sum(axis=1)  # (B, n, d), sums t[j1, j] over j1
+    y, r_c = params.readout.forward(np.concatenate([us, ut], axis=2))
+    y = y[..., 0]
     if not want_cache:
         return y
-    return y, (s_cache, t_cache, layer_caches, r_c, (m, n))
+    return y, (s_cache, t_cache, layer_caches, r_c, (bsz, m, n))
 
 
-def _fgnn2_backward(params: GnnParams, g: MilpGraph, cache, dy: np.ndarray) -> list[np.ndarray]:
-    s_cache, t_cache, layer_caches, r_c, (m, n) = cache
+def _fgnn2_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
+    s_cache, t_cache, layer_caches, r_c, (bsz, m, n) = cache
     d = params.dim
-    d_rin, r_grads = params.readout.backward(r_c, dy[:, None])
-    ds = np.broadcast_to(d_rin[None, :, :d], (m, n, d)).copy()
-    dt = np.broadcast_to(d_rin[None, :, d:], (n, n, d)).copy()
+    d_rin, r_grads = params.readout.backward(r_c, dy[..., None])
+    ds = np.broadcast_to(d_rin[:, None, :, :d], (bsz, m, n, d)).copy()
+    dt = np.broadcast_to(d_rin[:, None, :, d:], (bsz, n, n, d)).copy()
 
     layer_grads: list[list[np.ndarray]] = []
     for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
         d_pin, p_grads = layer["p"].backward(p_c, ds)
         ds_prev = d_pin[..., :d].copy()
-        d_msg_s = d_pin[..., d:]  # (m, n, d)
-        dzs, f_grads = layer["f"].backward(f_c, np.broadcast_to(d_msg_s[:, :, None, :], (m, n, n, d)))
-        # zs[i, j, j1] = (t[j1, j], s[i, j1])
-        dt_prev = np.transpose(dzs[..., :d].sum(axis=0), (1, 0, 2))  # -> index (j1, j)
-        ds_prev += dzs[..., d:].sum(axis=1)  # -> index (i, j1)
+        d_msg_s = d_pin[..., d:]  # (B, m, n, d)
+        (d_tj, d_si), f_grads = layer["f"].backward(f_c, np.broadcast_to(d_msg_s[:, :, :, None], (bsz, m, n, n, d)))
+        # each operand's gradient keeps its broadcast axis; summing drops it
+        dt_prev = np.transpose(d_tj.sum(axis=1), (0, 2, 1, 3))  # (B, j, j1) -> (B, j1, j)
+        ds_prev += d_si.sum(axis=2)  # (B, i, j1)
 
         d_qin, q_grads = layer["q"].backward(q_c, dt)
         dt_prev += d_qin[..., :d]
-        d_msg_t = d_qin[..., d:]  # (n, n, d)
-        dzt, g_grads = layer["g"].backward(g_c, np.broadcast_to(d_msg_t[:, :, None, :], (n, n, m, d)))
-        # zt[j1, j2, i] = (s[i, j2], s[i, j1])
-        ds_prev += np.transpose(dzt[..., :d].sum(axis=0), (1, 0, 2))  # -> (i, j2)
-        ds_prev += np.transpose(dzt[..., d:].sum(axis=1), (1, 0, 2))  # -> (i, j1)
+        d_msg_t = d_qin[..., d:]  # (B, n, n, d)
+        (d_s2, d_s1), g_grads = layer["g"].backward(g_c, np.broadcast_to(d_msg_t[:, :, :, None], (bsz, n, n, m, d)))
+        ds_prev += np.transpose(d_s2.sum(axis=1) + d_s1.sum(axis=2), (0, 2, 1, 3))  # (B, j, i) -> (B, i, j)
         ds, dt = ds_prev, dt_prev
         layer_grads.append([p_grads, q_grads, f_grads, g_grads])
 
@@ -420,6 +463,11 @@ def _fgnn2_backward(params: GnnParams, g: MilpGraph, cache, dy: np.ndarray) -> l
         flat += p_grads + q_grads + f_grads + g_grads
     flat += r_grads
     return flat
+
+
+def fgnn2_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
+    """Per-variable 2-FGNN outputs for one graph, computed as a batch of one."""
+    return fgnn2_batch_forward(params, batch_graphs([(g, np.zeros(g.n))]))[0]
 
 
 def gnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
@@ -433,7 +481,7 @@ def gnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
 
 
 def _shape_batches(dataset) -> list[BatchedGraphs]:
-    """MP-GNN data as same-shape batches.  A list of (graph, target) pairs is
+    """A dataset as same-shape batches.  A list of (graph, target) pairs is
     grouped by (m, n) in the order each shape first appears, and each group
     is encoded once by batch_graphs.  A BatchedGraphs, or a list of them (as
     train passes to grad), is used as it is."""
@@ -448,53 +496,40 @@ def _shape_batches(dataset) -> list[BatchedGraphs]:
     return [batch_graphs(group) for group in groups.values()]
 
 
-def _per_graph(params: GnnParams, dataset) -> bool:
-    """Only the 2-FGNN runs graph by graph; the MP-GNN always runs batched."""
-    return params.kind == "fgnn2" and not isinstance(dataset, BatchedGraphs)
+def _kernels(params: GnnParams):
+    """(batched forward, batched backward) of the network's architecture."""
+    if params.kind == "mpgnn":
+        return mpgnn_batch_forward, _mpgnn_batch_backward
+    return fgnn2_batch_forward, _fgnn2_batch_backward
 
 
 def loss(params: GnnParams, dataset) -> float:
     """0.5 * sum over the dataset of the squared output error.  The dataset
     is a list of (graph, target) pairs or a BatchedGraphs."""
+    forward, _ = _kernels(params)
     total = 0.0
-    if _per_graph(params, dataset):
-        for g, target in dataset:
-            err = fgnn2_forward(params, g) - np.asarray(target, dtype=float)
-            total += 0.5 * float(err @ err)
-        return total
     for batch in _shape_batches(dataset):
-        err = mpgnn_batch_forward(params, batch) - batch.targets
+        err = forward(params, batch) - batch.targets
         total += 0.5 * float((err * err).sum())
     return total
 
 
-def _fgnn2_piece(params: GnnParams, g: MilpGraph, target) -> tuple[float, list[np.ndarray]]:
-    y, cache = fgnn2_forward(params, g, want_cache=True)
-    err = y - np.asarray(target, dtype=float)
-    return 0.5 * float(err @ err), _fgnn2_backward(params, g, cache, err)
-
-
-def _mpgnn_piece(params: GnnParams, batch: BatchedGraphs) -> tuple[float, list[np.ndarray]]:
-    y, cache = mpgnn_batch_forward(params, batch, want_cache=True)
+def _piece(params: GnnParams, batch: BatchedGraphs) -> tuple[float, list[np.ndarray]]:
+    forward, backward = _kernels(params)
+    y, cache = forward(params, batch, want_cache=True)
     err = y - batch.targets
-    return 0.5 * float((err * err).sum()), _mpgnn_batch_backward(params, cache, err)
+    return 0.5 * float((err * err).sum()), backward(params, cache, err)
 
 
 def grad(params: GnnParams, dataset):
     """Exact gradient of ``loss``.  Returns (loss, flat grads).
 
-    The MP-GNN always runs on the batched kernels: a list of pairs is grouped
-    by shape in first-appearance order and the loss and gradients are summed
-    over the groups in that order.  The 2-FGNN runs graph by graph in dataset
-    order.  The accumulation order is fixed either way, so results are
-    bitwise reproducible."""
-    if _per_graph(params, dataset):
-        pieces = (_fgnn2_piece(params, g, target) for g, target in dataset)
-    else:
-        pieces = (_mpgnn_piece(params, batch) for batch in _shape_batches(dataset))
+    A list of pairs is grouped by shape in first-appearance order and the
+    loss and gradients are summed over the groups in that order, so results
+    are bitwise reproducible."""
     total = 0.0
     acc: list[np.ndarray] | None = None
-    for value, gs in pieces:
+    for value, gs in (_piece(params, batch) for batch in _shape_batches(dataset)):
         total += value
         if acc is None:
             acc = gs
@@ -531,14 +566,14 @@ def train(
     """Full-batch Adam.  Returns (trained params, curve) where curve is a
     list of (epoch, loss, lr) rows; the loss is the pre-step value.
 
-    For the MP-GNN the dataset is grouped into same-shape batches once, before
-    the first epoch, so no graph is encoded inside the epoch loop."""
-    params = params.copy()
-    if params.kind == "mpgnn":
-        dataset = _shape_batches(dataset)
-    arrays = params.flat()
-    m_state = [np.zeros_like(a) for a in arrays]
-    v_state = [np.zeros_like(a) for a in arrays]
+    The dataset is grouped into same-shape batches once, before the first
+    epoch, so no graph is encoded inside the epoch loop.  The trained copy's
+    weights and biases are views of one vector, so each Adam step is a few
+    operations on that vector and on its two moment vectors."""
+    params, theta = _on_one_buffer(params)
+    dataset = _shape_batches(dataset)
+    m_state = np.zeros_like(theta)
+    v_state = np.zeros_like(theta)
     curve: list[tuple[int, float, float]] = []
     for epoch in range(cfg.epochs):
         value, grads = grad(params, dataset)
@@ -558,13 +593,28 @@ def train(
         t = epoch + 1
         bias1 = 1.0 - cfg.beta1**t
         bias2 = 1.0 - cfg.beta2**t
-        for a, gr, ms, vs in zip(arrays, grads, m_state, v_state):
-            ms *= cfg.beta1
-            ms += (1.0 - cfg.beta1) * gr
-            vs *= cfg.beta2
-            vs += (1.0 - cfg.beta2) * gr * gr
-            a -= lr * (ms / bias1) / (np.sqrt(vs / bias2) + cfg.eps)
+        gr = np.concatenate([g.ravel() for g in grads])
+        m_state *= cfg.beta1
+        m_state += (1.0 - cfg.beta1) * gr
+        v_state *= cfg.beta2
+        v_state += (1.0 - cfg.beta2) * gr * gr
+        theta -= lr * (m_state / bias1) / (np.sqrt(v_state / bias2) + cfg.eps)
     return params, curve
+
+
+def _on_one_buffer(params: GnnParams) -> tuple[GnnParams, np.ndarray]:
+    """A copy of params whose weights and biases are views of one vector,
+    laid out in flat() order; returns (copy, vector)."""
+    params = params.copy()
+    buffer = np.concatenate([a.ravel() for a in params.flat()])
+    offset = 0
+    for mlp in params.mlps():
+        for k in range(len(mlp.weights)):
+            for arrays in (mlp.weights, mlp.biases):
+                size = arrays[k].size
+                arrays[k] = buffer[offset : offset + size].reshape(arrays[k].shape)
+                offset += size
+    return params, buffer
 
 
 def write_curve_csv(curve, path) -> None:

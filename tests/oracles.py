@@ -5,10 +5,15 @@ candidate active sets, and the minimum-norm point on the optimal face from a
 dense pseudo-inverse projection.  Exponential in problem size by design —
 only for small instances.
 
-The color-refinement references at the end intern exact signature tuples
-through a dictionary, node by node and pair by pair, and find tractability
-witnesses by a nested loop over every block entry.  They call nothing in the
-package's ``wl`` or ``fwl`` modules.
+The color-refinement references intern exact signature tuples through a
+dictionary, node by node and pair by pair, and find tractability witnesses
+by a nested loop over every block entry.  They call nothing in the package's
+``wl`` or ``fwl`` modules.
+
+The network references at the end run the 2-FGNN one graph at a time on the
+explicit concatenated pair tensors, recompute each ReLU mask from the layer
+input, and step Adam array by array.  Of the package's ``nn`` module they use
+only the parameter containers, ``encode_graph`` and ``grad``.
 """
 
 import itertools
@@ -17,6 +22,7 @@ import struct
 
 import numpy as np
 
+from milpgnn import nn
 from milpgnn.instance import MilpInstance, Sense
 
 FEAS_TOL = 1e-8
@@ -301,3 +307,165 @@ def fwl2_indistinguishable_W(g1, g2, quantize=None) -> bool:
     (vw1, ww1), (vw2, ww2) = _fwl2_to_stability([g1, g2], quantize)[0]
     column = lambda rows, j: sorted(row[j] for row in rows)
     return all(column(vw1, j) == column(vw2, j) and column(ww1, j) == column(ww2, j) for j in range(g1.n))
+
+
+# --------------------------------------------------------------------------
+# networks: per-graph 2-FGNN with explicit pair tensors, per-array Adam
+
+
+def mlp_forward(mlp, x):
+    """An ``nn.Mlp`` applied to x: (..., in_dim).  Returns (y, cache)."""
+    lead = x.shape[:-1]
+    h = x.reshape(-1, x.shape[-1])
+    inputs = []
+    last = len(mlp.weights) - 1
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        inputs.append(h)
+        h = h @ w + b
+        if k < last or mlp.output_relu:
+            h = np.maximum(h, 0.0)
+    return h.reshape(*lead, h.shape[-1]), (lead, inputs)
+
+
+def mlp_backward(mlp, cache, dy):
+    """Returns (dx, [dW0, db0, dW1, db1, ...]); each ReLU mask is recomputed
+    from the cached layer input."""
+    lead, inputs = cache
+    d = dy.reshape(-1, dy.shape[-1])
+    last = len(mlp.weights) - 1
+    grads = [None] * (2 * len(mlp.weights))
+    for k in range(last, -1, -1):
+        if k < last or mlp.output_relu:
+            z = inputs[k] @ mlp.weights[k] + mlp.biases[k]
+            d = d * (z > 0.0)
+        grads[2 * k] = inputs[k].T @ d
+        grads[2 * k + 1] = d.sum(axis=0)
+        d = d @ mlp.weights[k].T
+    return d.reshape(*lead, d.shape[-1]), grads
+
+
+def fgnn2_forward(params, g):
+    """2-FGNN outputs for one graph and the cache for ``fgnn2_backward``."""
+    xv, xw, a = nn.encode_graph(g)
+    m, n, d = g.m, g.n, params.dim
+    s_in = np.concatenate(
+        [
+            np.broadcast_to(xv[:, None, :], (m, n, nn.CONS_FEATURES)),
+            np.broadcast_to(xw[None, :, :], (m, n, nn.VAR_FEATURES)),
+            a[:, :, None],
+        ],
+        axis=2,
+    )
+    t_in = np.concatenate(
+        [
+            np.broadcast_to(xw[:, None, :], (n, n, nn.VAR_FEATURES)),
+            np.broadcast_to(xw[None, :, :], (n, n, nn.VAR_FEATURES)),
+            np.eye(n)[:, :, None],
+        ],
+        axis=2,
+    )
+    s, s_cache = mlp_forward(params.p0, s_in)  # (m, n, d)
+    t, t_cache = mlp_forward(params.q0, t_in)  # (n, n, d)
+    layer_caches = []
+    for layer in params.msg_layers:
+        # message into s[i, j]: sum over j1 of f(t[j1, j], s[i, j1])
+        zs = np.concatenate(
+            [
+                np.broadcast_to(np.transpose(t, (1, 0, 2))[None, :, :, :], (m, n, n, d)),
+                np.broadcast_to(s[:, None, :, :], (m, n, n, d)),
+            ],
+            axis=3,
+        )
+        f_out, f_c = mlp_forward(layer["f"], zs)
+        s_new, p_c = mlp_forward(layer["p"], np.concatenate([s, f_out.sum(axis=2)], axis=2))
+        # message into t[j1, j2]: sum over i of g(s[i, j2], s[i, j1])
+        zt = np.concatenate(
+            [
+                np.broadcast_to(np.transpose(s, (1, 0, 2))[None, :, :, :], (n, n, m, d)),
+                np.broadcast_to(np.transpose(s, (1, 0, 2))[:, None, :, :], (n, n, m, d)),
+            ],
+            axis=3,
+        )
+        g_out, g_c = mlp_forward(layer["g"], zt)
+        t_new, q_c = mlp_forward(layer["q"], np.concatenate([t, g_out.sum(axis=2)], axis=2))
+        layer_caches.append((f_c, p_c, g_c, q_c))
+        s, t = s_new, t_new
+    y, r_c = mlp_forward(params.readout, np.concatenate([s.sum(axis=0), t.sum(axis=0)], axis=1))
+    return y[:, 0], (s_cache, t_cache, layer_caches, r_c, (m, n))
+
+
+def fgnn2_backward(params, cache, dy):
+    """Flat gradients, in ``GnnParams.flat`` order, for output gradient dy."""
+    s_cache, t_cache, layer_caches, r_c, (m, n) = cache
+    d = params.dim
+    d_rin, r_grads = mlp_backward(params.readout, r_c, dy[:, None])
+    ds = np.broadcast_to(d_rin[None, :, :d], (m, n, d)).copy()
+    dt = np.broadcast_to(d_rin[None, :, d:], (n, n, d)).copy()
+    layer_grads = []
+    for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
+        d_pin, p_grads = mlp_backward(layer["p"], p_c, ds)
+        ds_prev = d_pin[..., :d].copy()
+        d_msg_s = d_pin[..., d:]
+        dzs, f_grads = mlp_backward(layer["f"], f_c, np.broadcast_to(d_msg_s[:, :, None, :], (m, n, n, d)))
+        # zs[i, j, j1] = (t[j1, j], s[i, j1])
+        dt_prev = np.transpose(dzs[..., :d].sum(axis=0), (1, 0, 2))
+        ds_prev += dzs[..., d:].sum(axis=1)
+        d_qin, q_grads = mlp_backward(layer["q"], q_c, dt)
+        dt_prev += d_qin[..., :d]
+        d_msg_t = d_qin[..., d:]
+        dzt, g_grads = mlp_backward(layer["g"], g_c, np.broadcast_to(d_msg_t[:, :, None, :], (n, n, m, d)))
+        # zt[j1, j2, i] = (s[i, j2], s[i, j1])
+        ds_prev += np.transpose(dzt[..., :d].sum(axis=0), (1, 0, 2))
+        ds_prev += np.transpose(dzt[..., d:].sum(axis=1), (1, 0, 2))
+        ds, dt = ds_prev, dt_prev
+        layer_grads.append([p_grads, q_grads, f_grads, g_grads])
+    _, p0_grads = mlp_backward(params.p0, s_cache, ds)
+    _, q0_grads = mlp_backward(params.q0, t_cache, dt)
+    flat = p0_grads + q0_grads
+    for p_grads, q_grads, f_grads, g_grads in reversed(layer_grads):
+        flat += p_grads + q_grads + f_grads + g_grads
+    return flat + r_grads
+
+
+def fgnn2_grad(params, dataset):
+    """(loss, flat grads) of 0.5 * sum of squared errors, graph by graph."""
+    total = 0.0
+    acc = [np.zeros_like(a) for a in params.flat()]
+    for g, target in dataset:
+        y, cache = fgnn2_forward(params, g)
+        err = y - np.asarray(target, dtype=float)
+        total += 0.5 * float(err @ err)
+        for slot, piece in zip(acc, fgnn2_backward(params, cache, err)):
+            slot += piece
+    return total, acc
+
+
+def adam_train(params, dataset, cfg):
+    """``nn.train`` with Adam stepped array by array; gradients from
+    ``nn.grad``.  Returns (trained params, curve)."""
+    params = params.copy()
+    arrays = params.flat()
+    m_state = [np.zeros_like(a) for a in arrays]
+    v_state = [np.zeros_like(a) for a in arrays]
+    curve = []
+    for epoch in range(cfg.epochs):
+        value, grads = nn.grad(params, dataset)
+        if value <= cfg.decay_thresholds[1]:
+            lr = cfg.decayed_rates[1]
+        elif value <= cfg.decay_thresholds[0]:
+            lr = cfg.decayed_rates[0]
+        else:
+            lr = cfg.learning_rate
+        curve.append((epoch, value, lr))
+        if cfg.target_loss is not None and value <= cfg.target_loss:
+            break
+        t = epoch + 1
+        bias1 = 1.0 - cfg.beta1**t
+        bias2 = 1.0 - cfg.beta2**t
+        for a, gr, ms, vs in zip(arrays, grads, m_state, v_state):
+            ms *= cfg.beta1
+            ms += (1.0 - cfg.beta1) * gr
+            vs *= cfg.beta2
+            vs += (1.0 - cfg.beta2) * gr * gr
+            a -= lr * (ms / bias1) / (np.sqrt(vs / bias2) + cfg.eps)
+    return params, curve

@@ -162,6 +162,17 @@ class TestGraph:
         assert np.all(np.diff(keys) > 0)
         assert np.array_equal(g.dense_matrix(), inst.dense_matrix())
 
+    def test_equality_compares_fields(self):
+        cycle8, split = counterexample_pair()
+        g = build_graph(cycle8)
+        assert g == build_graph(counterexample_pair()[0])
+        assert not g == build_graph(split)
+        assert g != build_graph(split)
+        upper = cycle8.upper.copy()
+        upper[3] = 2.0
+        assert g != build_graph(dataclasses.replace(cycle8, upper=upper))
+        assert g != cycle8  # a graph is not an instance
+
 
 class TestPermute:
     def test_identity_permutation(self):

@@ -6,7 +6,9 @@ from milpgnn.gen import counterexample_pair, gen_random
 from milpgnn.instance import build_graph, permute
 from milpgnn.sb import sb_scores
 
+import oracles
 from oracles import finite_difference_grad
+from test_wl import no_edges
 
 
 def counterexample_dataset():
@@ -191,6 +193,122 @@ class TestShapeGrouping:
         assert c1 == c2
         assert c1[-1][1] < c1[0][1]
         assert all(np.array_equal(a, b) for a, b in zip(p1.flat(), p2.flat()))
+
+
+class TestEmptyGraphs:
+    """MilpInstance accepts m = 0 and n = 0; both networks must run on them."""
+
+    @pytest.mark.parametrize("kind", ["mpgnn", "fgnn2"])
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
+    def test_forward_loss_and_grad(self, kind, m, n):
+        g = build_graph(no_edges(m, n))
+        params = nn.init_params(kind, 4, 2, seed=0)
+        assert nn.gnn_forward(params, g).shape == (n,)
+        dataset = [(g, np.ones(n))]
+        value, grads = nn.grad(params, dataset)
+        assert np.isfinite(value) and value == nn.loss(params, dataset)
+        assert all(np.isfinite(a).all() for a in grads)
+        if n == 0:
+            assert value == 0.0
+
+
+def oracle_grad_by_shape(params, dataset):
+    """The per-graph oracle's loss and gradients, summed within each shape
+    group and then over the groups in first-appearance order, as nn.grad
+    accumulates them."""
+    groups: dict = {}
+    for g, target in dataset:
+        groups.setdefault((g.m, g.n), []).append((g, target))
+    total, acc = 0.0, None
+    for group in groups.values():
+        value, grads = oracles.fgnn2_grad(params, group)
+        total += value
+        acc = grads if acc is None else [a + b for a, b in zip(acc, grads)]
+    return total, acc
+
+
+def fgnn2_oracle_datasets():
+    rng = np.random.default_rng(1)
+    shapes = [(4, 6, 10), (5, 5, 12), (4, 6, 8), (5, 5, 6)]
+    mixed = [(build_graph(gen_random(k, m=m, n=n, nnz=z)), rng.normal(size=n)) for k, (m, n, z) in enumerate(shapes)]
+    no_nnz = [(build_graph(no_edges(3, 4, b=[1.0, 0.0, -1.0])), rng.normal(size=4))]
+    no_rows = [(build_graph(no_edges(0, 3)), rng.normal(size=3))]
+    return {"pair": counterexample_dataset(), "mixed": mixed, "nnz0": no_nnz, "m0": no_rows}
+
+
+class TestAgainstOracle:
+    """The batched 2-FGNN against the per-graph network on explicit
+    concatenated pair tensors (tests/oracles.py); the MLP and Adam against
+    references that recompute the mask and step array by array."""
+
+    @pytest.mark.parametrize("name", ["pair", "mixed", "nnz0", "m0"])
+    @pytest.mark.parametrize("dim,layers", [(8, 1), (6, 2)])
+    def test_fgnn2_loss_and_grads_match(self, name, dim, layers):
+        dataset = fgnn2_oracle_datasets()[name]
+        params = nn.init_params("fgnn2", dim, layers, seed=2)
+        jitter_off_kinks(params)
+        value, grads = nn.grad(params, dataset)
+        ref_value, ref_grads = oracle_grad_by_shape(params, dataset)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert abs(nn.loss(params, dataset) - ref_value) <= 1e-12 * abs(ref_value)
+        for k, (g, ref) in enumerate(zip(grads, ref_grads)):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), f"gradient array {k}"
+
+    def test_fgnn2_forward_matches(self):
+        params = nn.init_params("fgnn2", 8, 2, seed=4)
+        for g, _ in fgnn2_oracle_datasets()["mixed"]:
+            y = nn.fgnn2_forward(params, g)
+            ref = oracles.fgnn2_forward(params, g)[0]
+            assert np.abs(y - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+    @pytest.mark.parametrize("output_relu", [False, True])
+    def test_mlp_backward_is_bitwise_the_recomputed_mask(self, output_relu):
+        rng = np.random.default_rng(0)
+        mlp = nn.Mlp(
+            [rng.normal(size=(7, 5)), rng.normal(size=(5, 5)), rng.normal(size=(5, 3))],
+            [rng.normal(size=5), rng.normal(size=5), rng.normal(size=3)],
+            output_relu,
+        )
+        x = rng.normal(size=(4, 6, 7))
+        dy = rng.normal(size=(4, 6, 3))
+        y, cache = mlp.forward(x)
+        ref_y, ref_cache = oracles.mlp_forward(mlp, x)
+        assert np.array_equal(y, ref_y)
+        dx, grads = mlp.backward(cache, dy)
+        ref_dx, ref_grads = oracles.mlp_backward(mlp, ref_cache, dy)
+        assert np.array_equal(dx, ref_dx)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
+
+    def test_mlp_two_operands_equal_the_concatenation(self):
+        rng = np.random.default_rng(1)
+        mlp = nn.Mlp([rng.normal(size=(6, 5)), rng.normal(size=(5, 2))], [rng.normal(size=5), rng.normal(size=2)], True)
+        left = rng.normal(size=(3, 1, 4, 2))  # broadcast along axis 1
+        right = rng.normal(size=(1, 5, 4, 4))  # broadcast along axis 0
+        shape = (3, 5, 4)
+        full = np.concatenate([np.broadcast_to(left, shape + (2,)), np.broadcast_to(right, shape + (4,))], axis=3)
+        dy = rng.normal(size=shape + (2,))
+        y, cache = mlp.forward(np.broadcast_to(left, shape + (2,)), np.broadcast_to(right, shape + (4,)))
+        ref_y, ref_cache = oracles.mlp_forward(mlp, full)
+        assert np.abs(y - ref_y).max() <= 1e-12 * np.abs(ref_y).max()
+        (d_left, d_right), grads = mlp.backward(cache, dy)
+        ref_dx, ref_grads = oracles.mlp_backward(mlp, ref_cache, dy)
+        ref_left = ref_dx[..., :2].sum(axis=1, keepdims=True)
+        ref_right = ref_dx[..., 2:].sum(axis=0, keepdims=True)
+        for got, ref in [(d_left, ref_left), (d_right, ref_right), *zip(grads, ref_grads)]:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["mpgnn", "fgnn2"])
+    def test_train_is_bitwise_the_per_array_adam_loop(self, kind):
+        dataset = mixed_shape_dataset()
+        cfg = nn.TrainConfig(learning_rate=1e-3, epochs=50)
+        params = nn.init_params(kind, 8, 1, seed=6)
+        trained, curve = nn.train(params, dataset, cfg)
+        ref, ref_curve = oracles.adam_train(params, dataset, cfg)
+        assert curve == ref_curve
+        assert all(np.array_equal(a, b) for a, b in zip(trained.flat(), ref.flat()))
+        assert curve[-1][1] < curve[0][1]
 
 
 class TestSerialization:

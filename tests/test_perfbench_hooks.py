@@ -1,9 +1,12 @@
-"""The benchmark's per-layer tracing still finds the refinement hooks.
+"""The benchmark's per-layer tracing still finds the refinement and network
+hooks.
 
 ``perfbench/spans.py`` wraps ``wl._refine_to_stability``,
 ``fwl._refine_to_stability`` and ``fwl._refine_once`` by name and reads their
-arguments and results.  Installing it replaces module attributes for the
-rest of the process, so the traced commands run in a subprocess.
+arguments and results; it counts the network's work through
+``nn.Mlp.forward``/``backward`` called inside ``nn.train``.  Installing it
+replaces module attributes for the rest of the process, so the traced
+commands run in a subprocess.
 """
 
 import json
@@ -50,3 +53,44 @@ def test_traced_refinement_counts_are_nonzero(tmp_path):
     assert metrics["wl.rounds"] > 0
     assert metrics["fwl.pair_cells"] > 0
     assert metrics["fwl.pair_classes"] > 0
+
+
+TRAIN_SCRIPT = """
+import json, sys
+import numpy as np
+import spans
+from milpgnn import nn
+from milpgnn.gen import counterexample_pair
+from milpgnn.instance import build_graph
+
+tracer = spans.Tracer()
+spans.install(tracer)
+dim, layers = map(int, sys.argv[1:])
+dataset = [(build_graph(inst), np.ones(inst.n)) for inst in counterexample_pair()]
+out = {}
+for kind in ("mpgnn", "fgnn2"):
+    tracer.spans.clear()
+    with tracer.phase("loop"):
+        nn.train(nn.init_params(kind, dim, layers, seed=0), dataset, nn.TrainConfig(epochs=2))
+    out[kind] = spans.layer_metrics(tracer.spans, 1, 1)
+print(json.dumps(out))
+"""
+
+
+def test_traced_training_counts_the_pair_maps():
+    dim, layers = 8, 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRAIN_SCRIPT, str(dim), str(layers)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    for kind in ("mpgnn", "fgnn2"):
+        for name in ("nn.forward_flops_per_epoch", "nn.backward_flops_per_epoch", "nn.mlp_forward_s"):
+            assert metrics[kind][name] > 0, (kind, name)
+    # f and g of the 2-FGNN act on every (i, j, j1) and (j1, j2, i) triple of
+    # both 8x8 graphs; their two d x d layers alone cost this many flops per
+    # forward pass, so tracing that skipped the pair maps would show less
+    triples = 2 * 8 * 8 * 8
+    pair_hidden_flops = 2 * layers * 2 * triples * 2 * dim * dim
+    assert metrics["fgnn2"]["nn.forward_flops_per_epoch"] > pair_hidden_flops
