@@ -2,7 +2,8 @@
 """Train a surrogate on the two-instance counterexample dataset and record
 the loss curve.  Supports resuming from a saved parameter file so long runs
 can proceed in bounded chunks; a resumed run must ask for the saved
-network's --arch, --dim and --layers, or it exits with status 2.
+network's --arch, --dim and --layers and find the saved state.json, or it
+exits with status 2.
 
 Usage:
     python3 scripts/train_counterexample.py --arch fgnn2 --dim 64 \
@@ -14,8 +15,6 @@ import csv
 import json
 import os
 import sys
-
-import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -61,8 +60,13 @@ def main() -> int:
                 file=sys.stderr,
             )
             return 2
-        with open(state_path) as fh:
-            start_epoch = json.load(fh)["epochs_done"]
+        try:
+            with open(state_path) as fh:
+                start_epoch = json.load(fh)["epochs_done"]
+        except FileNotFoundError:
+            missing = f"cannot resume: {state_path} is missing, so the epochs behind {params_path} are unknown"
+            print(missing, file=sys.stderr)
+            return 2
         print(f"resuming from epoch {start_epoch}")
     else:
         params = nn.init_params(args.arch, args.dim, args.layers, args.seed)

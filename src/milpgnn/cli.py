@@ -18,9 +18,8 @@ import numpy as np
 
 from . import nn
 from .fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
-from .gen import counterexample_pair, gen_random, gen_set_cover, gen_training_set
+from .gen import counterexample_pair, gen_set_cover, gen_training_set
 from .instance import InstanceError, MilpInstance, build_graph, load_instance, serialize_instance
-from .lp import LpStatus, solve_lp
 from .sb import (
     PRODUCT_RULE,
     RelaxationInfeasibleError,

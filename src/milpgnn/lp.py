@@ -3,30 +3,22 @@
 ``solve_lp`` relaxes integrality and solves with HiGHS (deterministic dual
 simplex via scipy), optionally with a single variable's bounds replaced.
 ``min_norm_solution`` picks the unique least-norm point of the optimal face
-with a primal active-set QP, which terminates finitely at desk scale and is
-verified through its KKT residual.
+with a primal active-set QP, which raises ``LpNumericalError`` when its
+iteration budget runs out; only the tests check its answer's KKT residual
+(``min_norm_kkt_residual``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, lsq_linear
 
 from .instance import MilpInstance, Sense
 
-__all__ = [
-    "LpStatus",
-    "LpOutcome",
-    "BoundOverride",
-    "LpNumericalError",
-    "solve_lp",
-    "check_kkt",
-    "min_norm_solution",
-]
+__all__ = ["LpStatus", "LpOutcome", "BoundOverride", "LpNumericalError", "solve_lp", "check_kkt", "min_norm_solution"]
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -89,6 +81,11 @@ def _effective_bounds(inst: MilpInstance, override: BoundOverride | None):
     return lower, upper
 
 
+def _row_sign(inst: MilpInstance) -> np.ndarray:
+    """+1 on >= rows, -1 on <= rows, 0 on = rows: inequality rows read sign * (Ax - b) >= 0."""
+    return np.select([inst.senses == Sense.GE, inst.senses == Sense.LE], [1.0, -1.0], 0.0)
+
+
 def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOutcome:
     """Solve the LP relaxation (integrality ignored), optionally with one
     variable's bounds replaced."""
@@ -97,9 +94,9 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
         return LpOutcome(status=LpStatus.INFEASIBLE)
 
     a = inst.dense_matrix()
-    le = inst.senses == Sense.LE
-    ge = inst.senses == Sense.GE
-    eq = inst.senses == Sense.EQ
+    sign = _row_sign(inst)
+    le, ge, eq = sign < 0, sign > 0, sign == 0
+    # <= rows first, then the >= rows negated; HiGHS's pivots follow this order
     a_ub = np.vstack([a[le], -a[ge]]) if (le.any() or ge.any()) else None
     b_ub = np.concatenate([inst.b[le], -inst.b[ge]]) if a_ub is not None else None
     a_eq = a[eq] if eq.any() else None
@@ -122,20 +119,19 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
         raise LpNumericalError(f"LP backend failure: {res.message}")
 
     x = np.asarray(res.x, dtype=float)
-    # Map HiGHS marginals back to per-row multipliers in our convention.
+    # Map HiGHS marginals back to per-row multipliers in our convention;
+    # scipy returns empty marginals for an absent block.
     y = np.zeros(inst.m)
-    if a_ub is not None:
-        mub = np.asarray(res.ineqlin.marginals, dtype=float)
-        n_le = int(le.sum())
-        y[le] = mub[:n_le]  # <= rows: y <= 0
-        y[ge] = -mub[n_le:]  # >= rows were negated: flip sign back, y >= 0
-    if a_eq is not None:
-        y[eq] = np.asarray(res.eqlin.marginals, dtype=float)
+    mub = np.asarray(res.ineqlin.marginals, dtype=float)
+    n_le = int(le.sum())
+    y[le] = mub[:n_le]  # <= rows: y <= 0
+    y[ge] = -mub[n_le:]  # >= rows were negated: flip sign back, y >= 0
+    y[eq] = np.asarray(res.eqlin.marginals, dtype=float)
     z_lower = np.maximum(np.asarray(res.lower.marginals, dtype=float), 0.0)
     z_upper = np.maximum(-np.asarray(res.upper.marginals, dtype=float), 0.0)
     duals = LpDuals(y=y, z_lower=z_lower, z_upper=z_upper)
 
-    primal = _primal_residual(inst, x, lower, upper)
+    primal = _primal_residual(inst, a @ x, x, lower, upper)
     kkt = check_kkt(inst, x, duals, override=override)
     return LpOutcome(
         status=LpStatus.OPTIMAL,
@@ -147,61 +143,38 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
     )
 
 
-def _primal_residual(inst: MilpInstance, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    a = inst.dense_matrix()
-    ax = a @ x if inst.m else np.zeros(0)
-    viol = [0.0]
-    for i in range(inst.m):
-        if inst.senses[i] == Sense.LE:
-            viol.append(ax[i] - inst.b[i])
-        elif inst.senses[i] == Sense.GE:
-            viol.append(inst.b[i] - ax[i])
-        else:
-            viol.append(abs(ax[i] - inst.b[i]))
+def _primal_residual(inst: MilpInstance, ax: np.ndarray, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    """Largest violation of a row or a finite bound at x, given ax = A x;
+    0 when x is feasible.  NaN violations are skipped."""
+    sign = _row_sign(inst)
+    gap = inst.b - ax
+    rows = np.where(sign == 0, np.abs(gap), sign * gap)
     with np.errstate(invalid="ignore"):
-        lo = lower - x
-        hi = x - upper
-    viol.extend(v for v in lo if math.isfinite(v))
-    viol.extend(v for v in hi if math.isfinite(v))
-    return max(0.0, max(viol))
+        bounds = np.concatenate([lower - x, x - upper])
+    viol = np.concatenate([rows, bounds[np.isfinite(bounds)]])
+    return max(0.0, float(np.fmax.reduce(viol, initial=0.0)))
 
 
-def check_kkt(
-    inst: MilpInstance,
-    x: np.ndarray,
-    duals: LpDuals,
-    override: BoundOverride | None = None,
-) -> float:
+def check_kkt(inst: MilpInstance, x: np.ndarray, duals: LpDuals, override: BoundOverride | None = None) -> float:
     """Max violation across stationarity, feasibility, sign constraints and
     complementary slackness of a candidate primal/dual pair."""
     lower, upper = _effective_bounds(inst, override)
     a = inst.dense_matrix()
     x = np.asarray(x, dtype=float)
     y, zl, zu = duals.y, duals.z_lower, duals.z_upper
-
-    stationarity = inst.c - (a.T @ y if inst.m else 0.0) - zl + zu
-    res = float(np.max(np.abs(stationarity))) if inst.n else 0.0
-    res = max(res, _primal_residual(inst, x, lower, upper))
-
-    ax = a @ x if inst.m else np.zeros(0)
-    for i in range(inst.m):
-        slack = ax[i] - inst.b[i]
-        if inst.senses[i] == Sense.LE:
-            res = max(res, y[i], abs(y[i] * slack))
-        elif inst.senses[i] == Sense.GE:
-            res = max(res, -y[i], abs(y[i] * slack))
-        # = rows: y free, no complementarity term
-    for j in range(inst.n):
-        res = max(res, -zl[j], -zu[j])
-        if math.isfinite(lower[j]):
-            res = max(res, abs(zl[j] * (x[j] - lower[j])))
-        else:
-            res = max(res, abs(zl[j]))
-        if math.isfinite(upper[j]):
-            res = max(res, abs(zu[j] * (upper[j] - x[j])))
-        else:
-            res = max(res, abs(zu[j]))
-    return res
+    ax = a @ x
+    res = float(np.max(np.abs(inst.c - a.T @ y - zl + zu), initial=0.0))
+    res = max(res, _primal_residual(inst, ax, x, lower, upper))
+    # y_i has its inequality row's sign and y_i * slack_i = 0; z >= 0, with
+    # z * gap = 0 at a finite bound and z = 0 at an infinite one (gap 1).
+    sign = _row_sign(inst)
+    ineq = sign != 0
+    with np.errstate(invalid="ignore"):
+        lo_gap = np.where(np.isfinite(lower), x - lower, 1.0)
+        hi_gap = np.where(np.isfinite(upper), upper - x, 1.0)
+    slack = (ax - inst.b)[ineq]
+    terms = [-sign[ineq] * y[ineq], np.abs(y[ineq] * slack), -zl, -zu, np.abs(zl * lo_gap), np.abs(zu * hi_gap)]
+    return max(res, float(np.fmax.reduce(np.concatenate(terms), initial=0.0)))
 
 
 class _OptimalFaceInfeasible(RuntimeError):
@@ -209,32 +182,21 @@ class _OptimalFaceInfeasible(RuntimeError):
 
 
 def _face_constraints(inst: MilpInstance, f_star: float):
-    """Equalities Ex=e and inequalities Gx>=h describing the optimal face."""
+    """Equalities Ex=e (c'x = f_star, then the = rows) and inequalities Gx>=h
+    (the other rows in >= form, then each variable's finite lower and upper
+    bound, variable by variable) describing the optimal face."""
     a = inst.dense_matrix()
-    e_rows, e_rhs, g_rows, g_rhs = [], [], [], []
-    e_rows.append(inst.c)
-    e_rhs.append(f_star)
-    for i in range(inst.m):
-        if inst.senses[i] == Sense.EQ:
-            e_rows.append(a[i])
-            e_rhs.append(inst.b[i])
-        elif inst.senses[i] == Sense.GE:
-            g_rows.append(a[i])
-            g_rhs.append(inst.b[i])
-        else:
-            g_rows.append(-a[i])
-            g_rhs.append(-inst.b[i])
+    sign = _row_sign(inst)
+    eq, ineq = sign == 0, sign != 0
+    e_mat = np.vstack([inst.c, a[eq]])
+    e_rhs = np.concatenate([[f_star], inst.b[eq]])
     eye = np.eye(inst.n)
-    for j in range(inst.n):
-        if math.isfinite(inst.lower[j]):
-            g_rows.append(eye[j])
-            g_rhs.append(inst.lower[j])
-        if math.isfinite(inst.upper[j]):
-            g_rows.append(-eye[j])
-            g_rhs.append(-inst.upper[j])
-    e_mat = np.asarray(e_rows)
-    g_mat = np.asarray(g_rows) if g_rows else np.zeros((0, inst.n))
-    return e_mat, np.asarray(e_rhs), g_mat, np.asarray(g_rhs)
+    bound_rows = np.stack([eye, -eye], axis=1).reshape(2 * inst.n, inst.n)
+    bound_rhs = np.stack([inst.lower, -inst.upper], axis=1).reshape(-1)
+    finite = np.isfinite(bound_rhs)
+    g_mat = np.vstack([sign[ineq, None] * a[ineq], bound_rows[finite]])
+    g_rhs = np.concatenate([sign[ineq] * inst.b[ineq], bound_rhs[finite]])
+    return e_mat, e_rhs, g_mat, g_rhs
 
 
 def _min_norm_on_working_set(c_mat: np.ndarray, d: np.ndarray):
@@ -245,16 +207,18 @@ def _min_norm_on_working_set(c_mat: np.ndarray, d: np.ndarray):
     return c_mat.T @ lam, lam
 
 
-def _stationarity_certified(c_mat: np.ndarray, n_eq: int, x: np.ndarray) -> bool:
-    """True iff x = C' lam has a solution with lam >= 0 on inequality rows,
-    i.e. x is the optimum of the working-set subproblem after all."""
-    from scipy.optimize import lsq_linear
-
+def _stationarity_residual(c_mat: np.ndarray, n_eq: int, x: np.ndarray) -> float:
+    """Residual of x = C' lam with lam >= 0 on the rows from n_eq on; least
+    squares under the sign bounds find a certificate whenever one exists."""
     lb = np.full(c_mat.shape[0], -np.inf)
     lb[n_eq:] = 0.0
     sol = lsq_linear(c_mat.T, x, bounds=(lb, np.full(c_mat.shape[0], np.inf)))
-    residual = float(np.max(np.abs(c_mat.T @ sol.x - x), initial=0.0))
-    return residual <= 1e-9 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    return float(np.max(np.abs(c_mat.T @ sol.x - x), initial=0.0))
+
+
+def _stationarity_certified(c_mat: np.ndarray, n_eq: int, x: np.ndarray) -> bool:
+    """True iff x is the optimum of the working-set subproblem after all."""
+    return _stationarity_residual(c_mat, n_eq, x) <= 1e-9 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
 
 
 def min_norm_solution(inst: MilpInstance, f_star: float, x0: np.ndarray | None = None) -> np.ndarray:
@@ -327,13 +291,5 @@ def min_norm_kkt_residual(inst: MilpInstance, f_star: float, x: np.ndarray) -> f
     res = max(res, float(np.max(-slack, initial=0.0)))
     active = slack <= 1e-8 if g_mat.size else np.zeros(0, dtype=bool)
     c_mat = np.vstack([e_mat, g_mat[active]]) if active.any() else e_mat
-    # Stationarity x = E' mu + G_active' lam with lam >= 0; sign-constrained
-    # least squares so a valid certificate is found whenever one exists.
-    from scipy.optimize import lsq_linear
-
-    n_eq = e_mat.shape[0]
-    lb = np.full(c_mat.shape[0], -np.inf)
-    lb[n_eq:] = 0.0
-    sol = lsq_linear(c_mat.T, x, bounds=(lb, np.full(c_mat.shape[0], np.inf)))
-    res = max(res, float(np.max(np.abs(c_mat.T @ sol.x - x), initial=0.0)))
-    return res
+    # stationarity: x = E' mu + G_active' lam with lam >= 0
+    return max(res, _stationarity_residual(c_mat, e_mat.shape[0], x))

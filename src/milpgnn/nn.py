@@ -29,12 +29,12 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .instance import MilpGraph, Sense
+from .instance import MilpGraph
 
 __all__ = [
     "Mlp",

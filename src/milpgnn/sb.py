@@ -9,8 +9,7 @@ infeasible child LP) is stored as the sentinel -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -5,6 +5,11 @@ candidate active sets, and the minimum-norm point on the optimal face from a
 dense pseudo-inverse projection.  Exponential in problem size by design —
 only for small instances.
 
+The LP-certificate references compute the primal and KKT residuals and the
+optimal-face system row by row and variable by variable, with the package's
+own sign and ordering conventions, so the array code can be compared with
+them bit for bit.
+
 The color-refinement references intern exact signature tuples through a
 dictionary, node by node and pair by pair, and find tractability witnesses
 by a nested loop over every block entry.  They call nothing in the package's
@@ -133,6 +138,100 @@ def brute_force_min_norm(inst: MilpInstance, f_star: float):
                 best_norm = nrm
                 best = x
     return best
+
+
+# --------------------------------------------------------------------------
+# LP certificates: the feasibility and KKT residuals and the optimal-face
+# system, written row by row and variable by variable
+
+
+def primal_residual(inst: MilpInstance, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    """Largest violation of a row or a finite bound at x; 0 when feasible."""
+    a = inst.dense_matrix()
+    ax = a @ x if inst.m else np.zeros(0)
+    viol = [0.0]
+    for i in range(inst.m):
+        if inst.senses[i] == Sense.LE:
+            viol.append(ax[i] - inst.b[i])
+        elif inst.senses[i] == Sense.GE:
+            viol.append(inst.b[i] - ax[i])
+        else:
+            viol.append(abs(ax[i] - inst.b[i]))
+    with np.errstate(invalid="ignore"):
+        lo = lower - x
+        hi = x - upper
+    viol.extend(v for v in lo if math.isfinite(v))
+    viol.extend(v for v in hi if math.isfinite(v))
+    return max(0.0, max(viol))
+
+
+def check_kkt(inst: MilpInstance, x: np.ndarray, duals, override=None) -> float:
+    """Max violation across stationarity, feasibility, sign constraints and
+    complementary slackness of x and duals (y, z_lower, z_upper) under
+    ``c = A'y + z_lower - z_upper``; ``override`` replaces one variable's
+    bounds, as in ``lp.BoundOverride``."""
+    lower = inst.lower.copy()
+    upper = inst.upper.copy()
+    if override is not None:
+        lower[override.j] = override.lower
+        upper[override.j] = override.upper
+    a = inst.dense_matrix()
+    x = np.asarray(x, dtype=float)
+    y, zl, zu = duals.y, duals.z_lower, duals.z_upper
+
+    stationarity = inst.c - (a.T @ y if inst.m else 0.0) - zl + zu
+    res = float(np.max(np.abs(stationarity))) if inst.n else 0.0
+    res = max(res, primal_residual(inst, x, lower, upper))
+
+    ax = a @ x if inst.m else np.zeros(0)
+    for i in range(inst.m):
+        slack = ax[i] - inst.b[i]
+        if inst.senses[i] == Sense.LE:
+            res = max(res, y[i], abs(y[i] * slack))
+        elif inst.senses[i] == Sense.GE:
+            res = max(res, -y[i], abs(y[i] * slack))
+    for j in range(inst.n):
+        res = max(res, -zl[j], -zu[j])
+        if math.isfinite(lower[j]):
+            res = max(res, abs(zl[j] * (x[j] - lower[j])))
+        else:
+            res = max(res, abs(zl[j]))
+        if math.isfinite(upper[j]):
+            res = max(res, abs(zu[j] * (upper[j] - x[j])))
+        else:
+            res = max(res, abs(zu[j]))
+    return res
+
+
+def face_constraints(inst: MilpInstance, f_star: float):
+    """Equalities Ex=e and inequalities Gx>=h describing the optimal face."""
+    a = inst.dense_matrix()
+    e_rows, e_rhs, g_rows, g_rhs = [inst.c], [f_star], [], []
+    for i in range(inst.m):
+        if inst.senses[i] == Sense.EQ:
+            e_rows.append(a[i])
+            e_rhs.append(inst.b[i])
+        elif inst.senses[i] == Sense.GE:
+            g_rows.append(a[i])
+            g_rhs.append(inst.b[i])
+        else:
+            g_rows.append(-a[i])
+            g_rhs.append(-inst.b[i])
+    eye = np.eye(inst.n)
+    for j in range(inst.n):
+        if math.isfinite(inst.lower[j]):
+            g_rows.append(eye[j])
+            g_rhs.append(inst.lower[j])
+        if math.isfinite(inst.upper[j]):
+            g_rows.append(-eye[j])
+            g_rhs.append(-inst.upper[j])
+    e_mat = np.asarray(e_rows)
+    g_mat = np.asarray(g_rows) if g_rows else np.zeros((0, inst.n))
+    return e_mat, np.asarray(e_rhs), g_mat, np.asarray(g_rhs)
+
+
+# --------------------------------------------------------------------------
+# gradients
 
 
 def finite_difference_grad(fn, arrays, h=1e-5, samples=40, seed=0):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from milpgnn import lp
 from milpgnn.gen import counterexample_pair, gen_random
-from milpgnn.instance import permute
+from milpgnn.instance import MilpInstance, Sense, permute
 from milpgnn.lp import (
     BoundOverride,
+    LpDuals,
     LpStatus,
     check_kkt,
     min_norm_kkt_residual,
@@ -14,6 +16,7 @@ from milpgnn.lp import (
     solve_lp,
 )
 
+import oracles
 from oracles import brute_force_lp, brute_force_min_norm
 
 
@@ -129,3 +132,100 @@ class TestMinNorm:
                 continue
             x = min_norm_solution(inst, out.objective, x0=out.x)
             assert x @ x <= out.x @ out.x + 1e-7
+
+
+def _bits(v):
+    v = np.asarray(v)
+    return v.dtype.str, v.shape, v.tobytes()
+
+
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-100.0, 100.0))
+
+
+@st.composite
+def certificate_cases(draw):
+    """An instance with <=, >= and = rows and finite, one-sided and free
+    bounds (m or n may be 0), an arbitrary point x, arbitrary multipliers,
+    maybe one variable's bounds overridden, and an objective value."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+
+    def vec(k):
+        return np.array(draw(st.lists(VALUES, min_size=k, max_size=k)), dtype=float)
+
+    lower, upper = [], []
+    for _ in range(n):
+        lo, hi = sorted(draw(st.lists(VALUES, min_size=2, max_size=2)))
+        lower.append(draw(st.sampled_from([lo, -np.inf])))
+        upper.append(draw(st.sampled_from([hi, np.inf])))
+    cells = [k for k in range(m * n) if draw(st.booleans())]
+    inst = MilpInstance(
+        m=m, n=n, c=vec(n), b=vec(m), senses=draw(st.lists(st.integers(0, 2), min_size=m, max_size=m)),
+        lower=lower, upper=upper, integer=[False] * n,
+        a_rows=[k // n for k in cells], a_cols=[k % n for k in cells],
+        a_vals=[draw(VALUES.filter(lambda v: v != 0.0)) for _ in cells],
+    )
+    override = None
+    if n and draw(st.booleans()):
+        lo = draw(st.one_of(VALUES, st.just(-np.inf)))
+        hi = draw(st.one_of(VALUES, st.just(np.inf)))
+        override = BoundOverride(draw(st.integers(0, n - 1)), lo, hi)
+    duals = LpDuals(y=vec(m), z_lower=vec(n), z_upper=vec(n))
+    return inst, vec(n), duals, override, draw(VALUES)
+
+
+def _empty_side_case(m, n):
+    """An instance with no rows or no variables, and a point off its face."""
+    inst = MilpInstance(
+        m=m, n=n, c=np.ones(n), b=-np.ones(m), senses=np.arange(m) % 3, lower=-np.ones(n), upper=np.full(n, np.inf),
+        integer=[False] * n, a_rows=[], a_cols=[], a_vals=[],
+    )
+    return inst, np.full(n, -2.0), LpDuals(y=np.ones(m), z_lower=-np.ones(n), z_upper=np.ones(n)), None, 3.0
+
+
+class TestCertificatesAgainstLoopOracle:
+    """The array certificates equal the row-by-row loops in ``oracles`` bit
+    for bit, on points and multipliers that are neither feasible nor
+    optimal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=certificate_cases())
+    @example(case=_empty_side_case(0, 3))
+    @example(case=_empty_side_case(3, 0))
+    def test_bitwise_equal(self, case):
+        inst, x, duals, override, f_star = case
+        lower, upper = lp._effective_bounds(inst, override)
+        got = lp._primal_residual(inst, inst.dense_matrix() @ x, x, lower, upper)
+        assert _bits(got) == _bits(oracles.primal_residual(inst, x, lower, upper))
+        assert _bits(check_kkt(inst, x, duals, override)) == _bits(oracles.check_kkt(inst, x, duals, override))
+        for got, want in zip(lp._face_constraints(inst, f_star), oracles.face_constraints(inst, f_star)):
+            assert _bits(got) == _bits(want)
+
+    # x0 in [0, 2], x1 free, x2 in [0, 1]; rows x0 + x1 <= 2, x0 >= -5,
+    # x1 = 0; c = 0.  At x = (2, 0, 0.5) with zero multipliers every term is
+    # 0; each case below makes one term the largest.
+    KKT_TERMS = {
+        "stationarity": (dict(zu=[0.5, 0, 0]), 0.5),
+        "row violation": (dict(x=[2, -3, 0.5]), 3.0),
+        "bound violation": (dict(x=[2, 0, 1.25]), 0.25),
+        "overridden bound violation": (dict(override=BoundOverride(2, 0.0, 0.25)), 0.25),
+        "row multiplier sign": (dict(y=[0.7, 0, -0.7], zu=[0.7, 0, 0]), 0.7),
+        "row complementarity": (dict(y=[0, 0.3, 0], zu=[0.3, 0, 0]), 2.1),
+        "bound multiplier sign": (dict(zl=[0, 0, -0.4], zu=[0, 0, -0.4]), 0.4),
+        "bound complementarity": (dict(zl=[0, 0, 0.6], zu=[0, 0, 0.6]), 0.3),
+        "infinite-bound multiplier": (dict(zl=[0, 0.8, 0], zu=[0, 0.8, 0]), 0.8),
+    }
+
+    @pytest.mark.parametrize("term", list(KKT_TERMS))
+    def test_each_term_can_be_the_largest(self, term):
+        inst = MilpInstance(
+            m=3, n=3, c=np.zeros(3), b=[2.0, -5.0, 0.0], senses=[Sense.LE, Sense.GE, Sense.EQ],
+            lower=[0.0, -np.inf, 0.0], upper=[2.0, np.inf, 1.0], integer=[False] * 3,
+            a_rows=[0, 0, 1, 2], a_cols=[0, 1, 0, 1], a_vals=[1.0, 1.0, 1.0, 1.0],
+        )
+        change, expected = self.KKT_TERMS[term]
+        args = dict(x=[2, 0, 0.5], y=[0, 0, 0], zl=[0, 0, 0], zu=[0, 0, 0], override=None) | change
+        x = np.array(args["x"], dtype=float)
+        duals = LpDuals(*(np.array(args[k], dtype=float) for k in ("y", "zl", "zu")))
+        got = check_kkt(inst, x, duals, args["override"])
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert _bits(got) == _bits(oracles.check_kkt(inst, x, duals, args["override"]))

@@ -1,4 +1,5 @@
-"""scripts/train_counterexample.py resumes only the network it saved."""
+"""scripts/train_counterexample.py resumes only the network it saved, and
+only with the saved state beside it."""
 
 import json
 import os
@@ -46,3 +47,14 @@ def test_resume_continues_the_same_network(saved_run):
     assert proc.returncode == 0, proc.stderr
     assert "resuming from epoch 3" in proc.stdout
     assert json.loads((saved_run / "state.json").read_text())["epochs_done"] == 5
+
+
+def test_resume_without_state_json_exits_with_its_own_message(saved_run):
+    (saved_run / "state.json").unlink()
+    saved_params = (saved_run / "params.bin").read_bytes()
+    proc = run_script(*SAVED, "--epochs", "1", "--out", str(saved_run), "--resume")
+    assert proc.returncode == 2
+    assert "cannot resume" in proc.stderr and "state.json" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (saved_run / "params.bin").read_bytes() == saved_params
+    assert not (saved_run / "state.json").exists()
