@@ -20,7 +20,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from milpgnn import nn
 from milpgnn.gen import counterexample_pair
-from milpgnn.instance import build_graph
 from milpgnn.sb import sb_scores
 
 
@@ -42,10 +41,7 @@ def main() -> int:
     state_path = os.path.join(args.out, "state.json")
 
     inst_a, inst_b = counterexample_pair()
-    dataset = [
-        (build_graph(inst_a), sb_scores(inst_a).scores),
-        (build_graph(inst_b), sb_scores(inst_b).scores),
-    ]
+    dataset = [(inst_a, sb_scores(inst_a).scores), (inst_b, sb_scores(inst_b).scores)]
 
     start_epoch = 0
     if args.resume and os.path.exists(params_path):

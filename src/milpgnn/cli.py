@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
 from .gen import counterexample_pair, gen_set_cover, gen_training_set
-from .instance import InstanceError, MilpInstance, build_graph, load_instance, serialize_instance
+from .instance import InstanceError, MilpInstance, load_instance, serialize_instance
 from .sb import (
     PRODUCT_RULE,
     RelaxationInfeasibleError,
@@ -62,7 +62,7 @@ def _jsonable(v):
 
 def cmd_check_tractability(args) -> int:
     inst = _load(args.instance)
-    part = stable_partition(build_graph(inst))
+    part = stable_partition(inst)
     tractable, witness = is_mp_tractable(inst)
     report = {
         "I": [list(c) for c in part.classes_v],
@@ -113,13 +113,12 @@ def cmd_sb_score(args) -> int:
 
 def cmd_fwl2_compare(args) -> int:
     a, b = _load(args.a), _load(args.b)
-    ga, gb = build_graph(a), build_graph(b)
-    if (ga.m, ga.n) != (gb.m, gb.n):
-        raise CliInputError(f"size mismatch: ({ga.m},{ga.n}) vs ({gb.m},{gb.n})")
+    if (a.m, a.n) != (b.m, b.n):
+        raise CliInputError(f"size mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
     _emit(
         {
-            "indistinguishable": fwl2_indistinguishable(ga, gb),
-            "indistinguishable_W": fwl2_indistinguishable_W(ga, gb),
+            "indistinguishable": fwl2_indistinguishable(a, b),
+            "indistinguishable_W": fwl2_indistinguishable_W(a, b),
         }
     )
     return EXIT_OK
@@ -173,7 +172,7 @@ def _load_dataset(spec: str):
             scores = sb_scores(inst).scores
         except (RelaxationInfeasibleError, RelaxationUnboundedError) as exc:
             raise CliInputError(f"instance with undefined SB in training data: {exc}") from exc
-        dataset.append((build_graph(inst), scores))
+        dataset.append((inst, scores))
     return dataset
 
 
@@ -229,11 +228,10 @@ def cmd_generate(args) -> int:
 
 def cmd_reproduce_counterexample(args) -> int:
     inst_a, inst_b = counterexample_pair()
-    ga, gb = build_graph(inst_a), build_graph(inst_b)
     sa, sb = sb_scores(inst_a), sb_scores(inst_b)
     tract_a, _ = is_mp_tractable(inst_a)
     tract_b, _ = is_mp_tractable(inst_b)
-    pair = nn.batch_graphs([(ga, np.zeros(ga.n)), (gb, np.zeros(gb.n))])
+    pair = nn.batch_graphs([(inst_a, np.zeros(inst_a.n)), (inst_b, np.zeros(inst_b.n))])
     max_diff = 0.0
     max_spread = 0.0
     for k in range(100):
@@ -243,16 +241,16 @@ def cmd_reproduce_counterexample(args) -> int:
         max_diff = max(max_diff, float(np.abs(ya - yb).max()))
         max_spread = max(max_spread, float(np.ptp(ya)), float(np.ptp(yb)))
     fg = nn.init_params("fgnn2", 64, 2, seed=args.seed + 1)
-    fgnn_sep = float(np.abs(nn.fgnn2_forward(fg, ga) - nn.fgnn2_forward(fg, gb)).max())
+    fgnn_sep = float(np.abs(nn.fgnn2_forward(fg, inst_a) - nn.fgnn2_forward(fg, inst_b)).max())
     _emit(
         {
             "sb_cycle8": sa.scores.tolist(),
             "sb_split": sb.scores.tolist(),
             "f_star": [sa.f_star, sb.f_star],
-            "wl_indistinguishable": wl_indistinguishable(ga, gb),
+            "wl_indistinguishable": wl_indistinguishable(inst_a, inst_b),
             "mp_tractable": [tract_a, tract_b],
-            "fwl2_indistinguishable": fwl2_indistinguishable(ga, gb),
-            "fwl2_indistinguishable_W": fwl2_indistinguishable_W(ga, gb),
+            "fwl2_indistinguishable": fwl2_indistinguishable(inst_a, inst_b),
+            "fwl2_indistinguishable_W": fwl2_indistinguishable_W(inst_a, inst_b),
             "mpgnn_max_output_diff": max_diff,
             "mpgnn_max_output_spread": max_spread,
             "fgnn2_output_separation": fgnn_sep,

@@ -4,9 +4,10 @@ indistinguishability relations it induces.
 Pairs come in two kinds: (constraint, variable) and (variable, variable).
 Colorings are stored dense because every update ranges over all of V or W
 regardless of sparsity.  Colors are ids of integer signature rows as in the
-node-level test (``wl``), which also provides the fixpoint loop.  Graphs
-refined jointly have equal shape and are stacked along a leading axis; the
-ids of the two pair kinds never overlap.
+node-level test (``wl``), which also provides the fixpoint loop.  Each graph
+is an instance itself, its floats compared by exact value.  Graphs refined
+jointly have equal shape and are stacked along a leading axis; the ids of
+the two pair kinds never overlap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import MilpGraph
+from .instance import MilpInstance
 from .wl import _disjoint, _fixpoint, _ids, _node_keys
 
 __all__ = [
@@ -39,11 +40,11 @@ class PairColoring:
         return np.unique(np.concatenate([self.colors_vw.ravel(), self.colors_ww.ravel()])).size
 
 
-def _initial(graphs: list[MilpGraph], quantize):
+def _initial(graphs: list[MilpInstance]):
     """Round-0 pair colors: VW from (constraint features, variable features,
     A_ij with structural zeros), WW from (both variables' features, j1 == j2)."""
     k, m, n = len(graphs), graphs[0].m, graphs[0].n
-    kv, kw, aid = _node_keys(graphs, quantize, [g.dense_matrix().ravel() for g in graphs])
+    kv, kw, aid = _node_keys(graphs, [g.dense_matrix().ravel() for g in graphs])
     kv, kw, aid = kv.reshape(k, m, 1), kw.reshape(k, 1, n), aid.reshape(k, m, n)
     vw = np.stack(np.broadcast_arrays(kv, kw, aid), axis=-1)
     diag = np.broadcast_to(np.eye(n, dtype=np.int64), (k, n, n))
@@ -71,48 +72,48 @@ def _refine_once(colorings):
     return list(zip(nvw.reshape(k, m, n), nww.reshape(k, n, n)))
 
 
-def _refine_to_stability(graphs: list[MilpGraph], quantize):
-    return _fixpoint(_initial(graphs, quantize), _refine_once)
+def _refine_to_stability(graphs: list[MilpInstance]):
+    return _fixpoint(_initial(graphs), _refine_once)
 
 
-def fwl2_refine(g: MilpGraph, rounds: int, quantize: float | None = None) -> PairColoring:
+def fwl2_refine(g: MilpInstance, rounds: int) -> PairColoring:
     """Run exactly ``rounds`` pair-refinement rounds on one graph."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    colorings = _initial([g], quantize)
+    colorings = _initial([g])
     for _ in range(rounds):
         colorings = _refine_once(colorings)
     vw, ww = colorings[0]
     return PairColoring(round=rounds, colors_vw=vw, colors_ww=ww)
 
 
-def fwl2_stable(g: MilpGraph, quantize: float | None = None) -> PairColoring:
+def fwl2_stable(g: MilpInstance) -> PairColoring:
     """Refine until the pair partition stops changing."""
-    colorings, rounds = _refine_to_stability([g], quantize)
+    colorings, rounds = _refine_to_stability([g])
     vw, ww = colorings[0]
     return PairColoring(round=rounds, colors_vw=vw, colors_ww=ww)
 
 
-def _check_sizes(g1: MilpGraph, g2: MilpGraph):
+def _check_sizes(g1: MilpInstance, g2: MilpInstance):
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
 
 
-def fwl2_indistinguishable_W(g1: MilpGraph, g2: MilpGraph, quantize: float | None = None) -> bool:
+def fwl2_indistinguishable_W(g1: MilpInstance, g2: MilpInstance) -> bool:
     """Per-variable-column criterion: at joint stability, for every j both the
     (i, j) color column over i and the (j1, j) color column over j1 must agree
     across the two graphs as multisets."""
     _check_sizes(g1, g2)
-    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2], quantize)[0]
+    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2])[0]
     return np.array_equal(np.sort(vw1, axis=0), np.sort(vw2, axis=0)) and np.array_equal(
         np.sort(ww1, axis=0), np.sort(ww2, axis=0)
     )
 
 
-def fwl2_indistinguishable(g1: MilpGraph, g2: MilpGraph, quantize: float | None = None) -> bool:
+def fwl2_indistinguishable(g1: MilpInstance, g2: MilpInstance) -> bool:
     """Whole-multiset criterion over all pair colors of each kind."""
     _check_sizes(g1, g2)
-    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2], quantize)[0]
+    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2])[0]
     return np.array_equal(np.sort(vw1, axis=None), np.sort(vw2, axis=None)) and np.array_equal(
         np.sort(ww1, axis=None), np.sort(ww2, axis=None)
     )

@@ -1,12 +1,13 @@
-"""MILP data model, the bipartite constraint-variable graph view, and JSON I/O.
+"""MILP data model and JSON I/O.
 
 A problem is
 
     min c'x   s.t.  Ax o b,  l <= x <= u,  x_j integer for j with integer[j],
 
-where each row sense o_i is one of <=, =, >=.  The matrix A is kept in
-triplet form; an entry is present iff it is nonzero, so the edge set of the
-graph view equals the support of A exactly.
+where each row sense o_i is one of <=, =, >=.  The instance is also its own
+bipartite constraint-variable graph; there is no separate graph view.  The
+matrix A is kept in triplet form; an entry is present iff it is nonzero, so
+the edge set of the graph equals the support of A exactly.
 """
 
 from __future__ import annotations
@@ -49,21 +50,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fieldwise_eq(self, other) -> bool:
-    """Same class and every field equal by ``np.array_equal``."""
-    if not isinstance(other, type(self)):
-        return NotImplemented
-    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-
 @dataclass(frozen=True)
 class MilpInstance:
-    """Immutable MILP problem data.
+    """Immutable MILP problem data, read directly as the bipartite graph:
+    constraint nodes carry (b_i, sense_i), variable nodes carry
+    (c_j, l_j, u_j, is_integer_j), and edges are the nonzero A entries.
 
     Bounds use IEEE -inf/+inf for absent bounds; they serialize as the
     strings "-inf"/"+inf" so infinities survive a JSON round trip exactly.
     Triplets are stored sorted by (row, col) with no duplicates and no
-    explicit zeros.
+    explicit zeros, so constraint i's edges are a contiguous run.
     """
 
     m: int
@@ -151,54 +147,50 @@ class MilpInstance:
         a[self.a_rows, self.a_cols] = self.a_vals
         return a
 
-    __eq__ = _fieldwise_eq
+    def __eq__(self, other) -> bool:
+        """Same class and every field equal by ``np.array_equal``."""
+        if not isinstance(other, MilpInstance):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
-class MilpGraph:
-    """Bipartite view: constraint nodes carry (b_i, sense_i), variable nodes
-    carry (c_j, l_j, u_j, is_integer_j), edges carry the nonzero A entries.
-
-    The edges are the instance's own triplet arrays, sorted by (row, col), so
-    constraint i's edges are a contiguous run in row order.
-    """
-
-    m: int
-    n: int
-    b: np.ndarray
-    senses: np.ndarray
-    c: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    integer: np.ndarray
-    a_rows: np.ndarray
-    a_cols: np.ndarray
-    a_vals: np.ndarray
-
-    dense_matrix = MilpInstance.dense_matrix
-    __eq__ = _fieldwise_eq
-    __hash__ = None
+# The instance is its own bipartite graph; both public names read it as one.
+MilpGraph = MilpInstance
 
 
-def build_graph(inst: MilpInstance) -> MilpGraph:
-    """Build the bipartite graph view; edges are exactly the support of A."""
-    return MilpGraph(
-        m=inst.m,
-        n=inst.n,
-        b=inst.b,
-        senses=inst.senses,
-        c=inst.c,
-        lower=inst.lower,
-        upper=inst.upper,
-        integer=inst.integer,
-        a_rows=inst.a_rows,
-        a_cols=inst.a_cols,
-        a_vals=inst.a_vals,
-    )
+def build_graph(inst: MilpInstance) -> MilpInstance:
+    """The bipartite graph of ``inst``, which is ``inst`` itself."""
+    return inst
 
 
 _INF_STRINGS = {"-inf": -math.inf, "+inf": math.inf, "inf": math.inf}
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; JSON's true and false have type bool, not int."""
+    return type(v) is int
+
+
+def _number(v, what: str, *where) -> float:
+    """A JSON number as a float.  Booleans and strings are not numbers, and
+    an integer beyond the float range has no float value.  The error names
+    ``what.format(*where)``, built only when there is an error."""
+    if type(v) is float:
+        return v
+    if type(v) is not int:
+        raise InstanceError(f"{what.format(*where)} must be a number, not {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise InstanceError(f"{what.format(*where)} is beyond the float range") from None
+
+
+def _list(doc: dict, key: str) -> list:
+    if not isinstance(doc[key], list):
+        raise InstanceError(f"field {key!r} must be a list, not {doc[key]!r}")
+    return doc[key]
 
 
 def _bound_from_json(v, kind: str, j: int) -> float:
@@ -206,9 +198,10 @@ def _bound_from_json(v, kind: str, j: int) -> float:
         if v in _INF_STRINGS:
             return _INF_STRINGS[v]
         raise InstanceError(f"bad {kind} bound {v!r} at variable {j}")
-    if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
-        return float(v)
-    raise InstanceError(f"bad {kind} bound {v!r} at variable {j}")
+    x = _number(v, "{} bound at variable {}", kind, j)
+    if not math.isfinite(x):
+        raise InstanceError(f"bad {kind} bound {v!r} at variable {j}")
+    return x
 
 
 def _bound_to_json(v: float):
@@ -233,48 +226,50 @@ def parse_instance(text: str | bytes) -> MilpInstance:
         if key not in doc:
             raise InstanceError(f"missing field {key!r}")
     m, n = doc["m"], doc["n"]
-    if not isinstance(m, int) or not isinstance(n, int):
+    if not _is_int(m) or not _is_int(n):
         raise InstanceError("m and n must be integers")
-    triplets = doc["A"]
-    if not isinstance(triplets, list):
-        raise InstanceError("A must be a list of [row, col, value] triplets")
     rows, cols, vals = [], [], []
-    for t in triplets:
+    for t in _list(doc, "A"):
         if not (isinstance(t, list) and len(t) == 3):
             raise InstanceError(f"bad triplet {t!r}")
         r, ccol, v = t
-        if not isinstance(r, int) or not isinstance(ccol, int):
+        if not _is_int(r) or not _is_int(ccol):
             raise InstanceError(f"triplet indices must be integers: {t!r}")
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        v = _number(v, "triplet value at ({}, {})", r, ccol)
+        if not math.isfinite(v):
             raise InstanceError(f"triplet value must be a finite number: {t!r}")
         if v == 0:
             raise InstanceError(f"explicit zero at ({r}, {ccol}); the support of A must not contain zeros")
         rows.append(r)
         cols.append(ccol)
-        vals.append(float(v))
-    lower = [_bound_from_json(v, "lower", j) for j, v in enumerate(doc["lower"])]
-    upper = [_bound_from_json(v, "upper", j) for j, v in enumerate(doc["upper"])]
-    integer = doc["integer"]
+        vals.append(v)
+    c = [_number(v, "c[{}]", j) for j, v in enumerate(_list(doc, "c"))]
+    b = [_number(v, "b[{}]", i) for i, v in enumerate(_list(doc, "b"))]
+    senses = _list(doc, "senses")
+    if not all(_is_int(s) and 0 <= s <= 2 for s in senses):
+        raise InstanceError("sense codes must be the integers 0 (<=), 1 (=) or 2 (>=)")
+    lower = [_bound_from_json(v, "lower", j) for j, v in enumerate(_list(doc, "lower"))]
+    upper = [_bound_from_json(v, "upper", j) for j, v in enumerate(_list(doc, "upper"))]
+    integer = _list(doc, "integer")
     if not all(isinstance(v, bool) for v in integer):
         raise InstanceError("integer flags must be booleans")
     try:
-        return MilpInstance(
-            m=m,
-            n=n,
-            c=np.asarray(doc["c"], dtype=float),
-            b=np.asarray(doc["b"], dtype=float),
-            senses=np.asarray(doc["senses"], dtype=np.int8),
-            lower=np.asarray(lower, dtype=float),
-            upper=np.asarray(upper, dtype=float),
-            integer=np.asarray(integer, dtype=bool),
-            a_rows=np.asarray(rows, dtype=np.int64),
-            a_cols=np.asarray(cols, dtype=np.int64),
-            a_vals=np.asarray(vals, dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceError):
-            raise
-        raise InstanceError(str(exc)) from exc
+        a_rows, a_cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    except OverflowError:
+        raise InstanceError("triplet index out of range") from None
+    return MilpInstance(
+        m=m,
+        n=n,
+        c=np.asarray(c, dtype=float),
+        b=np.asarray(b, dtype=float),
+        senses=np.asarray(senses, dtype=np.int8),
+        lower=np.asarray(lower, dtype=float),
+        upper=np.asarray(upper, dtype=float),
+        integer=np.asarray(integer, dtype=bool),
+        a_rows=a_rows,
+        a_cols=a_cols,
+        a_vals=np.asarray(vals, dtype=float),
+    )
 
 
 def serialize_instance(inst: MilpInstance) -> str:

@@ -92,6 +92,13 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
     lower, upper = _effective_bounds(inst, override)
     if np.any(lower > upper):
         return LpOutcome(status=LpStatus.INFEASIBLE)
+    if inst.n == 0:
+        # Nothing to solve: the rows read 0 o b_i, and when all of them hold
+        # the empty point with zero multipliers is optimal.
+        x = np.zeros(0)
+        if _primal_residual(inst, np.zeros(inst.m), x, lower, upper) > 0.0:
+            return LpOutcome(status=LpStatus.INFEASIBLE)
+        return LpOutcome(status=LpStatus.OPTIMAL, objective=0.0, x=x, duals=LpDuals(np.zeros(inst.m), x, x))
 
     a = inst.dense_matrix()
     sign = _row_sign(inst)
@@ -246,7 +253,7 @@ def min_norm_solution(inst: MilpInstance, f_star: float, x0: np.ndarray | None =
         d = np.concatenate([e_rhs, g_rhs[working]]) if working else e_rhs
         target, lam = _min_norm_on_working_set(c_mat, d)
         p = target - x
-        at_target = np.max(np.abs(p), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(x)))
+        at_target = np.max(np.abs(p), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(x), initial=0.0))
         if at_target:
             lam_ineq = lam[n_eq:]
             negative = np.flatnonzero(lam_ineq < -1e-9)

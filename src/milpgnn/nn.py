@@ -10,10 +10,12 @@ edge contributes exactly zero.
 
 Each architecture has one implementation, over batches of same-shape graphs
 (``mpgnn_batch_forward``, ``fgnn2_batch_forward`` and their backward
-passes).  A single graph runs as a batch of one.  A list of (graph, target)
-pairs is grouped by (m, n) in the order each shape first appears, one batch
-per shape, and loss and gradients are summed over the groups in that order,
-so accumulation is deterministic.  The 2-FGNN's pair maps f and g take the
+passes).  A graph is an instance read directly: ``encode_graph`` takes its
+node features and dense A from the ``MilpInstance``.  A single graph runs as
+a batch of one.  A list of (instance, target) pairs is grouped by (m, n) in
+the order each shape first appears, one batch per shape, and loss and
+gradients are summed over the groups in that order, so accumulation is
+deterministic.  The 2-FGNN's pair maps f and g take the
 two halves of their input as broadcast operands, so the first layer is
 applied to each half on its own rows (as in the pair-tensor networks of
 Maron et al., "Provably Powerful Graph Networks", NeurIPS 2019) and the
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .instance import MilpGraph
+from .instance import MilpInstance
 
 __all__ = [
     "Mlp",
@@ -249,8 +251,8 @@ def init_params(kind: str, dim: int, layers: int, seed: int) -> GnnParams:
     return GnnParams(kind=kind, dim=dim, layers=layers, p0=p0, q0=q0, msg_layers=msg_layers, readout=readout)
 
 
-def encode_graph(g: MilpGraph):
-    """Numeric node features: constraints get (b, one-hot sense); variables
+def encode_graph(g: MilpInstance):
+    """Numeric node features of an instance's graph: constraints get (b, one-hot sense); variables
     get (c, finite-flag and value of each bound, integrality flag).  Returns
     (XV, XW, dense A)."""
     xv = np.zeros((g.m, CONS_FEATURES))
@@ -284,7 +286,7 @@ class BatchedGraphs:
     targets: np.ndarray  # (B, n)
 
 
-def batch_graphs(pairs: Sequence[tuple[MilpGraph, np.ndarray]]) -> BatchedGraphs:
+def batch_graphs(pairs: Sequence[tuple[MilpInstance, np.ndarray]]) -> BatchedGraphs:
     shapes = {(g.m, g.n) for g, _ in pairs}
     if len(shapes) != 1:
         raise ValueError(f"graphs must share one shape, got {sorted(shapes)}")
@@ -365,7 +367,7 @@ def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
     return flat
 
 
-def mpgnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
+def mpgnn_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
     """Per-variable outputs y_j = readout(sum_i s_i, sum_j t_j, t_j), computed
     as a batch of one."""
     return mpgnn_batch_forward(params, batch_graphs([(g, np.zeros(g.n))]))[0]
@@ -465,12 +467,12 @@ def _fgnn2_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
     return flat
 
 
-def fgnn2_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
+def fgnn2_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
     """Per-variable 2-FGNN outputs for one graph, computed as a batch of one."""
     return fgnn2_batch_forward(params, batch_graphs([(g, np.zeros(g.n))]))[0]
 
 
-def gnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
+def gnn_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
     if params.kind == "mpgnn":
         return mpgnn_forward(params, g)
     return fgnn2_forward(params, g)
@@ -481,7 +483,7 @@ def gnn_forward(params: GnnParams, g: MilpGraph) -> np.ndarray:
 
 
 def _shape_batches(dataset) -> list[BatchedGraphs]:
-    """A dataset as same-shape batches.  A list of (graph, target) pairs is
+    """A dataset as same-shape batches.  A list of (instance, target) pairs is
     grouped by (m, n) in the order each shape first appears, and each group
     is encoded once by batch_graphs.  A BatchedGraphs, or a list of them (as
     train passes to grad), is used as it is."""
@@ -505,7 +507,7 @@ def _kernels(params: GnnParams):
 
 def loss(params: GnnParams, dataset) -> float:
     """0.5 * sum over the dataset of the squared output error.  The dataset
-    is a list of (graph, target) pairs or a BatchedGraphs."""
+    is a list of (instance, target) pairs or a BatchedGraphs."""
     forward, _ = _kernels(params)
     total = 0.0
     for batch in _shape_batches(dataset):
@@ -559,7 +561,7 @@ class TrainConfig:
 
 def train(
     params: GnnParams,
-    dataset: Sequence[tuple[MilpGraph, np.ndarray]] | BatchedGraphs,
+    dataset: Sequence[tuple[MilpInstance, np.ndarray]] | BatchedGraphs,
     cfg: TrainConfig,
     on_epoch: Callable[[int, float, float], None] | None = None,
 ):

@@ -5,12 +5,12 @@ A color is the id of an integer signature row, assigned by sorting all rows
 of a round at once (``np.unique`` over rows), so equal ids mean equal
 signatures and the scheme is collision-free by construction.  A round's
 signature is the node's own color followed by the sorted multiset of
-(neighbor color, edge weight) keys, padded to the largest degree.  Node
-features and edge weights enter as value ids: floats are numbered by value,
-so -0.0 and 0.0 share an id.  An optional quantization step size is
-available for noisy data and is off by default.  Several graphs are refined
-as their disjoint union, so colors stay comparable across them.  The
-fixpoint loop here also drives the pair refinement in ``fwl``.
+(neighbor color, edge weight) keys, padded to the largest degree.  The
+graph is the instance itself.  Node features and edge weights enter as
+value ids: floats are numbered by exact value, so -0.0 and 0.0 share an id.
+Several graphs are refined as their disjoint union, so colors stay
+comparable across them.  The fixpoint loop here also drives the pair
+refinement in ``fwl``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import MilpGraph, MilpInstance, build_graph
+from .instance import MilpInstance
 
 __all__ = [
     "Coloring",
@@ -90,19 +90,13 @@ def _fixpoint(colorings, refine_once):
         rounds += 1
 
 
-def _node_keys(graphs: list[MilpGraph], quantize, weights: list[np.ndarray]):
+def _node_keys(graphs: list[MilpInstance], weights: list[np.ndarray]):
     """Feature ids of all constraint and all variable nodes, in graph order,
     and value ids of the concatenated ``weights``.  Floats are compared by
-    value after optional quantization; infinite values are kept as they are."""
+    exact value."""
     fields = [[getattr(g, name) for g in graphs] for name in ("b", "c", "lower", "upper")] + [weights]
-    parts = [np.concatenate(f).astype(float) for f in fields]
-    values = np.concatenate(parts)
-    if quantize is not None:
-        if not abs(quantize) > 0:
-            raise ValueError(f"quantize must be a nonzero step size, not {quantize!r}")
-        finite = np.isfinite(values)
-        values[finite] = np.round(values[finite] / quantize) * quantize
-    ids = np.unique(values, return_inverse=True)[1]
+    parts = [np.concatenate(f) for f in fields]
+    ids = np.unique(np.concatenate(parts), return_inverse=True)[1]
     b, c, lower, upper, w = np.split(ids, np.cumsum([p.size for p in parts])[:-1])
     senses = np.concatenate([g.senses for g in graphs])
     integer = np.concatenate([g.integer for g in graphs])
@@ -129,10 +123,10 @@ def _slots(node: np.ndarray) -> np.ndarray:
     return slot
 
 
-def _refiner(graphs: list[MilpGraph], quantize):
+def _refiner(graphs: list[MilpInstance]):
     """Initial colors of each graph, and one refinement round over the
     disjoint union of the graphs."""
-    kv, kw, wid = _node_keys(graphs, quantize, [g.a_vals for g in graphs])
+    kv, kw, wid = _node_keys(graphs, [g.a_vals for g in graphs])
     ms = np.cumsum([0] + [g.m for g in graphs])
     ns = np.cumsum([0] + [g.n for g in graphs])
     rows = np.concatenate([g.a_rows + off for g, off in zip(graphs, ms)])
@@ -153,23 +147,23 @@ def _refiner(graphs: list[MilpGraph], quantize):
     return split(*_disjoint(kv, kw)), refine_once
 
 
-def _refine_to_stability(graphs: list[MilpGraph], quantize):
-    return _fixpoint(*_refiner(graphs, quantize))
+def _refine_to_stability(graphs: list[MilpInstance]):
+    return _fixpoint(*_refiner(graphs))
 
 
-def wl_refine(g: MilpGraph, rounds: int, quantize: float | None = None) -> Coloring:
+def wl_refine(g: MilpInstance, rounds: int) -> Coloring:
     """Run exactly ``rounds`` refinement rounds; round 0 is features only."""
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    colorings, refine_once = _refiner([g], quantize)
+    colorings, refine_once = _refiner([g])
     for _ in range(rounds):
         colorings = refine_once(colorings)
     cv, cw = colorings[0]
     return Coloring(round=rounds, colors_v=tuple(cv.tolist()), colors_w=tuple(cw.tolist()))
 
 
-def stable_partition(g: MilpGraph, quantize: float | None = None) -> StablePartition:
-    colorings, rounds = _refine_to_stability([g], quantize)
+def stable_partition(g: MilpInstance) -> StablePartition:
+    colorings, rounds = _refine_to_stability([g])
     cv, cw = colorings[0]
     return StablePartition(
         classes_v=_group(cv),
@@ -186,17 +180,14 @@ def _blocks(classes, size: int) -> tuple[np.ndarray, np.ndarray]:
     return label, np.array([cls[0] for cls in classes], dtype=np.int64)
 
 
-def is_mp_tractable(
-    inst: MilpInstance, quantize: float | None = None
-) -> tuple[bool, tuple[int, int, int, int, int, int] | None]:
+def is_mp_tractable(inst: MilpInstance) -> tuple[bool, tuple[int, int, int, int, int, int] | None]:
     """Definition check: every stable-partition block of A, structural zeros
     included, must be a constant matrix.
 
     Returns (True, None) or (False, (p, q, i, i2, j, j2)) where
     A[i, j] != A[i2, j2] inside block (p, q), i and j are the first row and
     column of the block, and (p, q, i2, j2) is the smallest such tuple."""
-    g = build_graph(inst)
-    part = stable_partition(g, quantize)
+    part = stable_partition(inst)
     a = inst.dense_matrix()
     block_v, first_v = _blocks(part.classes_v, inst.m)
     block_w, first_w = _blocks(part.classes_w, inst.n)
@@ -208,10 +199,10 @@ def is_mp_tractable(
     return False, (p, q, int(first_v[p]), int(ii[k]), int(first_w[q]), int(jj[k]))
 
 
-def wl_indistinguishable(g1: MilpGraph, g2: MilpGraph, quantize: float | None = None) -> bool:
+def wl_indistinguishable(g1: MilpInstance, g2: MilpInstance) -> bool:
     """True iff at joint stability the constraint color multisets match and
     the variable colors match index by index."""
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
-    (cv1, cw1), (cv2, cw2) = _refine_to_stability([g1, g2], quantize)[0]
+    (cv1, cw1), (cv2, cw2) = _refine_to_stability([g1, g2])[0]
     return np.array_equal(np.sort(cv1), np.sort(cv2)) and np.array_equal(cw1, cw2)

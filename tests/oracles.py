@@ -255,9 +255,7 @@ def finite_difference_grad(fn, arrays, h=1e-5, samples=40, seed=0):
 # color refinement: dictionary interning of exact signature tuples
 
 
-def _fkey(v: float, quantize):
-    if quantize is not None and math.isfinite(v):
-        v = round(v / quantize) * quantize
+def _fkey(v: float):
     # -0.0 + 0.0 is +0.0, so the two zeros, which compare equal, share one key
     return struct.pack("<d", v + 0.0)
 
@@ -300,7 +298,7 @@ def _to_stability(colorings, refine_once):
         rounds += 1
 
 
-def _wl_to_stability(graphs, quantize):
+def _wl_to_stability(graphs):
     intern = _Interner()
     colorings, adjacency = [], []
     for g in graphs:
@@ -310,9 +308,9 @@ def _wl_to_stability(graphs, quantize):
             cons[i].append((j, w))
             var[j].append((i, w))
         adjacency.append((cons, var))
-        cv = [intern(("V", _fkey(float(g.b[i]), quantize), int(g.senses[i]))) for i in range(g.m)]
+        cv = [intern(("V", _fkey(float(g.b[i])), int(g.senses[i]))) for i in range(g.m)]
         cw = [
-            intern(("W", *(_fkey(float(x[j]), quantize) for x in (g.c, g.lower, g.upper)), int(g.integer[j])))
+            intern(("W", *(_fkey(float(x[j])) for x in (g.c, g.lower, g.upper)), int(g.integer[j])))
             for j in range(g.n)
         ]
         colorings.append((cv, cw))
@@ -321,32 +319,32 @@ def _wl_to_stability(graphs, quantize):
         intern = _Interner()
         out = []
         for (cons, var), (cv, cw) in zip(adjacency, colorings):
-            sig_v = [("V", cv[i], tuple(sorted((cw[j], _fkey(w, quantize)) for j, w in nb))) for i, nb in enumerate(cons)]
-            sig_w = [("W", cw[j], tuple(sorted((cv[i], _fkey(w, quantize)) for i, w in nb))) for j, nb in enumerate(var)]
+            sig_v = [("V", cv[i], tuple(sorted((cw[j], _fkey(w)) for j, w in nb))) for i, nb in enumerate(cons)]
+            sig_w = [("W", cw[j], tuple(sorted((cv[i], _fkey(w)) for i, w in nb))) for j, nb in enumerate(var)]
             out.append(([intern(s) for s in sig_v], [intern(s) for s in sig_w]))
         return out
 
     return _to_stability(colorings, refine_once)
 
 
-def stable_partition(g, quantize=None):
+def stable_partition(g):
     """(classes_v, classes_w, rounds_to_converge) of WL refinement on one graph."""
-    ((cv, cw),), rounds = _wl_to_stability([g], quantize)
+    ((cv, cw),), rounds = _wl_to_stability([g])
     return _group(cv), _group(cw), rounds
 
 
-def wl_indistinguishable(g1, g2, quantize=None) -> bool:
-    (cv1, cw1), (cv2, cw2) = _wl_to_stability([g1, g2], quantize)[0]
+def wl_indistinguishable(g1, g2) -> bool:
+    (cv1, cw1), (cv2, cw2) = _wl_to_stability([g1, g2])[0]
     return sorted(cv1) == sorted(cv2) and cw1 == cw2
 
 
-def mp_tractability_witness(inst, quantize=None):
+def mp_tractability_witness(inst):
     """None if every stable-partition block of A is constant, else the first
     (p, q, i, i2, j, j2) with A[i, j] != A[i2, j2], where (i, j) is the first
     entry of block (p, q), scanning p, q, i2, j2 in order."""
     from milpgnn.instance import build_graph
 
-    classes_v, classes_w, _ = stable_partition(build_graph(inst), quantize)
+    classes_v, classes_w, _ = stable_partition(build_graph(inst))
     a = inst.dense_matrix()
     for p, rows in enumerate(classes_v):
         for q, cols in enumerate(classes_w):
@@ -357,17 +355,17 @@ def mp_tractability_witness(inst, quantize=None):
     return None
 
 
-def _fwl2_to_stability(graphs, quantize):
+def _fwl2_to_stability(graphs):
     intern = _Interner()
     colorings = []
     for g in graphs:
         a = g.dense_matrix()
-        vkeys = [(_fkey(float(g.b[i]), quantize), int(g.senses[i])) for i in range(g.m)]
+        vkeys = [(_fkey(float(g.b[i])), int(g.senses[i])) for i in range(g.m)]
         wkeys = [
-            (*(_fkey(float(x[j]), quantize) for x in (g.c, g.lower, g.upper)), int(g.integer[j]))
+            (*(_fkey(float(x[j])) for x in (g.c, g.lower, g.upper)), int(g.integer[j]))
             for j in range(g.n)
         ]
-        vw = [[intern(("VW", vkeys[i], wkeys[j], _fkey(a[i, j], quantize))) for j in range(g.n)] for i in range(g.m)]
+        vw = [[intern(("VW", vkeys[i], wkeys[j], _fkey(a[i, j]))) for j in range(g.n)] for i in range(g.m)]
         ww = [[intern(("WW", wkeys[j1], wkeys[j2], int(j1 == j2))) for j2 in range(g.n)] for j1 in range(g.n)]
         colorings.append((vw, ww))
 
@@ -390,20 +388,20 @@ def _fwl2_to_stability(graphs, quantize):
     return _to_stability(colorings, refine_once)
 
 
-def fwl2_stable(g, quantize=None):
+def fwl2_stable(g):
     """(class count, rounds) of 2-FWL refinement on one graph."""
-    ((vw, ww),), rounds = _fwl2_to_stability([g], quantize)
+    ((vw, ww),), rounds = _fwl2_to_stability([g])
     return len({c for row in vw for c in row} | {c for row in ww for c in row}), rounds
 
 
-def fwl2_indistinguishable(g1, g2, quantize=None) -> bool:
-    (vw1, ww1), (vw2, ww2) = _fwl2_to_stability([g1, g2], quantize)[0]
+def fwl2_indistinguishable(g1, g2) -> bool:
+    (vw1, ww1), (vw2, ww2) = _fwl2_to_stability([g1, g2])[0]
     flat = lambda rows: sorted(c for row in rows for c in row)
     return flat(vw1) == flat(vw2) and flat(ww1) == flat(ww2)
 
 
-def fwl2_indistinguishable_W(g1, g2, quantize=None) -> bool:
-    (vw1, ww1), (vw2, ww2) = _fwl2_to_stability([g1, g2], quantize)[0]
+def fwl2_indistinguishable_W(g1, g2) -> bool:
+    (vw1, ww1), (vw2, ww2) = _fwl2_to_stability([g1, g2])[0]
     column = lambda rows, j: sorted(row[j] for row in rows)
     return all(column(vw1, j) == column(vw2, j) and column(ww1, j) == column(ww2, j) for j in range(g1.n))
 

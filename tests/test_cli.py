@@ -87,6 +87,24 @@ class TestSbScore:
         code, _ = run(capsys, "sb-score", infeasible_file(tmp_path))
         assert code == 2
 
+    def test_no_variables(self, capsys, tmp_path):
+        doc = {"m": 1, "n": 0, "c": [], "b": [1.0], "senses": [0], "lower": [], "upper": [], "integer": [], "A": []}
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, "sb-score", str(path))
+        assert code == 0
+        assert report == {"f_star": 0.0, "x_star": [], "scores": [], "deltas": []}
+        path.write_text(json.dumps({**doc, "senses": [2]}))  # 0 >= 1 fails
+        code, _ = run(capsys, "sb-score", str(path))
+        assert code == 2
+
+    def test_wrong_json_type_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "huge_sense.json"
+        path.write_text(serialize_instance(counterexample_pair()[0]).replace('"senses": [2', '"senses": [300', 1))
+        assert '"senses": [300' in path.read_text()
+        assert main(["sb-score", str(path)]) == 1
+        assert "sense codes must be the integers" in capsys.readouterr().err
+
 
 class TestFwl2Compare:
     def test_pair_separated(self, capsys, pair_files):

@@ -1,13 +1,18 @@
-"""No module of the package and no script imports a name it never uses.
+"""No module of the package and no script imports a name it never uses, and
+every name the package exports exists.
 
 No linter ships with the test dependencies, so this reads each file's syntax
 tree: every name bound by an ``import`` must be read somewhere in the file,
 or be listed in its ``__all__``.  The package's ``__init__.py`` is left out,
-since importing names there is how it re-exports them.
+since importing names there is how it re-exports them.  Each name in the
+package's and each module's ``__all__`` must resolve on the imported module,
+so a kept alias such as ``MilpGraph`` cannot disappear silently.
 """
 
 import ast
+import importlib
 import os
+import types
 
 import pytest
 
@@ -46,3 +51,25 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom typing import Callable, Sequence\nx: Sequence = []\n"
     assert unused_imports(source) == ["line 1: os", "line 2: Callable"]
+
+
+def unresolved(module) -> list[str]:
+    return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+
+
+MODULES = ["milpgnn"] + [
+    "milpgnn." + name[:-3] for name in sorted(os.listdir(os.path.join(ROOT, "src", "milpgnn")))
+    if name.endswith(".py") and name != "__init__.py"
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    assert unresolved(importlib.import_module(name)) == []
+
+
+def test_the_check_sees_a_missing_export():
+    module = types.ModuleType("m")
+    module.__all__ = ["present", "absent"]
+    module.present = 1
+    assert unresolved(module) == ["absent"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from milpgnn.instance import (
     InstanceError,
+    MilpGraph,
     MilpInstance,
     Sense,
     build_graph,
@@ -146,32 +147,82 @@ class TestSerialization:
             parse_instance('{"m": 1}')
 
 
+def tiny_json(**changes) -> str:
+    doc = json.loads(serialize_instance(tiny()))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+class TestWrongJsonTypes:
+    """A value of the wrong JSON type gets its own InstanceError: it is not
+    cast to a neighbouring type, and no OverflowError or TypeError escapes."""
+
+    def test_fractional_sense_rejected(self):
+        with pytest.raises(InstanceError, match="sense codes must be the integers"):
+            parse_instance(tiny_json(senses=[1.5, 2]))
+
+    def test_boolean_sense_rejected(self):
+        with pytest.raises(InstanceError, match="sense codes must be the integers"):
+            parse_instance(tiny_json(senses=[True, 2]))
+
+    def test_sense_beyond_int8_rejected(self):
+        with pytest.raises(InstanceError, match="sense codes must be the integers"):
+            parse_instance(tiny_json(senses=[300, 2]))
+
+    def test_boolean_size_rejected(self):
+        with pytest.raises(InstanceError, match="m and n must be integers"):
+            parse_instance(tiny_json(m=True))
+
+    def test_boolean_cost_rejected(self):
+        with pytest.raises(InstanceError, match=r"c\[0\] must be a number, not True"):
+            parse_instance(tiny_json(c=[True, False, 1.0]))
+
+    def test_boolean_triplet_index_rejected(self):
+        with pytest.raises(InstanceError, match="triplet indices must be integers"):
+            parse_instance(tiny_json(A=[[True, 0, 2.0]]))
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(InstanceError, match=r"c\[1\] is beyond the float range"):
+            parse_instance(tiny_json(c=[1.0, 10**400, 0.5]))
+
+    def test_triplet_index_beyond_int64_rejected(self):
+        with pytest.raises(InstanceError, match="triplet index out of range"):
+            parse_instance(tiny_json(A=[[2**70, 0, 2.0]]))
+
+    def test_scalar_bounds_rejected(self):
+        with pytest.raises(InstanceError, match="field 'lower' must be a list"):
+            parse_instance(tiny_json(lower=5))
+
+    def test_scalar_integrality_rejected(self):
+        with pytest.raises(InstanceError, match="field 'integer' must be a list"):
+            parse_instance(tiny_json(integer=3))
+
+
 class TestGraph:
+    def test_build_graph_is_the_instance(self):
+        inst = tiny()
+        assert build_graph(inst) is inst
+        assert MilpGraph is MilpInstance
+
     def test_edges_match_support(self):
         inst = tiny()
         g = build_graph(inst)
         assert set(zip(g.a_rows.tolist(), g.a_cols.tolist())) == {(0, 0), (0, 2), (1, 1)}
         assert set(zip(*np.nonzero(inst.dense_matrix()))) == {(0, 0), (0, 2), (1, 1)}
-        assert np.array_equal(g.dense_matrix(), inst.dense_matrix())
 
     def test_adjacency_sorted(self):
         inst = gen_random(3)
-        g = build_graph(inst)
-        assert g.a_rows is inst.a_rows and g.a_cols is inst.a_cols and g.a_vals is inst.a_vals
-        keys = g.a_rows * g.n + g.a_cols
+        keys = inst.a_rows * inst.n + inst.a_cols
         assert np.all(np.diff(keys) > 0)
-        assert np.array_equal(g.dense_matrix(), inst.dense_matrix())
 
     def test_equality_compares_fields(self):
         cycle8, split = counterexample_pair()
-        g = build_graph(cycle8)
-        assert g == build_graph(counterexample_pair()[0])
-        assert not g == build_graph(split)
-        assert g != build_graph(split)
+        assert cycle8 == counterexample_pair()[0]
+        assert not cycle8 == split
+        assert cycle8 != split
         upper = cycle8.upper.copy()
         upper[3] = 2.0
-        assert g != build_graph(dataclasses.replace(cycle8, upper=upper))
-        assert g != cycle8  # a graph is not an instance
+        assert cycle8 != dataclasses.replace(cycle8, upper=upper)
 
 
 class TestPermute:

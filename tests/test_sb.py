@@ -157,3 +157,28 @@ class TestUndefinedAndSentinel:
         result = sb_scores(inst)
         assert result.scores[0] == -1.0
         assert np.isinf(result.deltas[0]).all()
+
+
+def no_variables(senses, b) -> MilpInstance:
+    return MilpInstance(
+        m=len(b), n=0, c=np.zeros(0), b=np.array(b, dtype=float),
+        senses=np.array(senses, dtype=np.int8),
+        lower=np.zeros(0), upper=np.zeros(0), integer=np.zeros(0, dtype=bool),
+        a_rows=np.zeros(0), a_cols=np.zeros(0), a_vals=np.zeros(0),
+    )
+
+
+class TestNoVariables:
+    """With n = 0 every row reads 0 o b_i, and no LP solver is called."""
+
+    def test_rows_that_hold_score_nothing(self):
+        result = sb_scores(no_variables([Sense.LE, Sense.EQ, Sense.GE], [1.0, 0.0, -2.0]))
+        assert result.f_star == 0.0
+        assert result.x_star.shape == result.scores.shape == (0,)
+        assert result.deltas.shape == (0, 2)
+
+    @pytest.mark.parametrize("sense, rhs", [(Sense.GE, 1.0), (Sense.LE, -1.0), (Sense.EQ, 0.5)])
+    def test_a_failing_row_is_infeasible(self, sense, rhs):
+        with pytest.raises(RelaxationInfeasibleError):
+            sb_scores(no_variables([Sense.LE, sense], [1.0, rhs]))
+        assert solve_lp(no_variables([sense], [rhs])).status == LpStatus.INFEASIBLE

@@ -206,7 +206,6 @@ class TestSignedZero:
         assert twin == inst
         g, gt = build_graph(inst), build_graph(twin)
         assert stable_partition(gt) == stable_partition(g)
-        assert stable_partition(gt, quantize=0.5) == stable_partition(g, quantize=0.5)
         assert wl_indistinguishable(g, gt)
         assert fwl2_indistinguishable(g, gt)
 
@@ -222,24 +221,6 @@ class TestSignedZero:
         assert stable_partition(build_graph(twin)).classes_w == (tuple(range(8)),)
         assert wl_indistinguishable(build_graph(cycle), build_graph(twin))
         assert fwl2_indistinguishable(build_graph(cycle), build_graph(twin))
-
-    @pytest.mark.parametrize("step", [0.0, float("nan")])
-    def test_quantize_needs_a_nonzero_step(self, step):
-        g = build_graph(three_var_example())
-        for check in (stable_partition, fwl2_stable):
-            with pytest.raises(ValueError, match="nonzero step"):
-                check(g, quantize=step)
-
-    def test_quantize_accepts_infinite_bounds(self):
-        inst = MilpInstance(
-            m=1, n=3, c=[0.1, -0.1, 0.1], b=[1.0], senses=[Sense.GE],
-            lower=[-np.inf, -np.inf, 0.0], upper=[np.inf, np.inf, 1.0], integer=[True, True, True],
-            a_rows=[0, 0, 0], a_cols=[0, 1, 2], a_vals=[1.0, 1.0, 1.0],
-        )
-        g = build_graph(inst)
-        assert stable_partition(g, quantize=0.5).classes_w == ((0, 1), (2,))
-        assert stable_partition(g).classes_w == ((0,), (1,), (2,))
-        assert fwl2_indistinguishable(g, g, quantize=0.5)
 
 
 @st.composite
@@ -257,19 +238,19 @@ class TestAgainstOracle:
     """The array engine against the dictionary-interning references."""
 
     @settings(max_examples=120, deadline=None)
-    @given(pair=same_shape_pairs(), quantize=st.sampled_from([None, 0.5]))
-    def test_refinement_matches_reference(self, pair, quantize):
+    @given(pair=same_shape_pairs())
+    def test_refinement_matches_reference(self, pair):
         a, b = pair
         ga, gb = build_graph(a), build_graph(b)
         for inst, g in ((a, ga), (b, gb)):
-            part = stable_partition(g, quantize)
-            assert (part.classes_v, part.classes_w, part.rounds_to_converge) == oracles.stable_partition(g, quantize)
-            assert is_mp_tractable(inst, quantize)[1] == oracles.mp_tractability_witness(inst, quantize)
-            pairs = fwl2_stable(g, quantize)
-            assert (pairs.class_count(), pairs.round) == oracles.fwl2_stable(g, quantize)
-        assert wl_indistinguishable(ga, gb, quantize) == oracles.wl_indistinguishable(ga, gb, quantize)
-        assert fwl2_indistinguishable(ga, gb, quantize) == oracles.fwl2_indistinguishable(ga, gb, quantize)
-        assert fwl2_indistinguishable_W(ga, gb, quantize) == oracles.fwl2_indistinguishable_W(ga, gb, quantize)
+            part = stable_partition(g)
+            assert (part.classes_v, part.classes_w, part.rounds_to_converge) == oracles.stable_partition(g)
+            assert is_mp_tractable(inst)[1] == oracles.mp_tractability_witness(inst)
+            pairs = fwl2_stable(g)
+            assert (pairs.class_count(), pairs.round) == oracles.fwl2_stable(g)
+        assert wl_indistinguishable(ga, gb) == oracles.wl_indistinguishable(ga, gb)
+        assert fwl2_indistinguishable(ga, gb) == oracles.fwl2_indistinguishable(ga, gb)
+        assert fwl2_indistinguishable_W(ga, gb) == oracles.fwl2_indistinguishable_W(ga, gb)
 
     def test_witness_is_first_in_block_order(self):
         # column classes {0, 5}, {1, 3}, {2, 4}: block (0, 0) offends at
