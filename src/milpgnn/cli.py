@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import nn
-from .fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
+from .fwl import _fwl2_verdicts
 from .gen import counterexample_pair, gen_set_cover, gen_training_set
 from .instance import InstanceError, MilpInstance, load_instance, serialize_instance
 from .sb import (
@@ -27,7 +27,7 @@ from .sb import (
     ScoreRule,
     sb_scores,
 )
-from .wl import is_mp_tractable, stable_partition, wl_indistinguishable
+from .wl import _block_verdict, is_mp_tractable, stable_partition, wl_indistinguishable
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -63,7 +63,7 @@ def _jsonable(v):
 def cmd_check_tractability(args) -> int:
     inst = _load(args.instance)
     part = stable_partition(inst)
-    tractable, witness = is_mp_tractable(inst)
+    tractable, witness = _block_verdict(inst, part)
     report = {
         "I": [list(c) for c in part.classes_v],
         "J": [list(c) for c in part.classes_w],
@@ -115,12 +115,8 @@ def cmd_fwl2_compare(args) -> int:
     a, b = _load(args.a), _load(args.b)
     if (a.m, a.n) != (b.m, b.n):
         raise CliInputError(f"size mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
-    _emit(
-        {
-            "indistinguishable": fwl2_indistinguishable(a, b),
-            "indistinguishable_W": fwl2_indistinguishable_W(a, b),
-        }
-    )
+    whole, per_column = _fwl2_verdicts(a, b)
+    _emit({"indistinguishable": whole, "indistinguishable_W": per_column})
     return EXIT_OK
 
 
@@ -242,6 +238,7 @@ def cmd_reproduce_counterexample(args) -> int:
         max_spread = max(max_spread, float(np.ptp(ya)), float(np.ptp(yb)))
     fg = nn.init_params("fgnn2", 64, 2, seed=args.seed + 1)
     fgnn_sep = float(np.abs(nn.fgnn2_forward(fg, inst_a) - nn.fgnn2_forward(fg, inst_b)).max())
+    fwl_whole, fwl_per_column = _fwl2_verdicts(inst_a, inst_b)
     _emit(
         {
             "sb_cycle8": sa.scores.tolist(),
@@ -249,8 +246,8 @@ def cmd_reproduce_counterexample(args) -> int:
             "f_star": [sa.f_star, sb.f_star],
             "wl_indistinguishable": wl_indistinguishable(inst_a, inst_b),
             "mp_tractable": [tract_a, tract_b],
-            "fwl2_indistinguishable": fwl2_indistinguishable(inst_a, inst_b),
-            "fwl2_indistinguishable_W": fwl2_indistinguishable_W(inst_a, inst_b),
+            "fwl2_indistinguishable": fwl_whole,
+            "fwl2_indistinguishable_W": fwl_per_column,
             "mpgnn_max_output_diff": max_diff,
             "mpgnn_max_output_spread": max_spread,
             "fgnn2_output_separation": fgnn_sep,

@@ -94,26 +94,27 @@ def fwl2_stable(g: MilpInstance) -> PairColoring:
     return PairColoring(round=rounds, colors_vw=vw, colors_ww=ww)
 
 
-def _check_sizes(g1: MilpInstance, g2: MilpInstance):
-    if (g1.m, g1.n) != (g2.m, g2.n):
-        raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
-
-
 def fwl2_indistinguishable_W(g1: MilpInstance, g2: MilpInstance) -> bool:
     """Per-variable-column criterion: at joint stability, for every j both the
     (i, j) color column over i and the (j1, j) color column over j1 must agree
     across the two graphs as multisets."""
-    _check_sizes(g1, g2)
-    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2])[0]
-    return np.array_equal(np.sort(vw1, axis=0), np.sort(vw2, axis=0)) and np.array_equal(
-        np.sort(ww1, axis=0), np.sort(ww2, axis=0)
-    )
+    return _fwl2_verdicts(g1, g2)[1]
 
 
 def fwl2_indistinguishable(g1: MilpInstance, g2: MilpInstance) -> bool:
     """Whole-multiset criterion over all pair colors of each kind."""
-    _check_sizes(g1, g2)
+    return _fwl2_verdicts(g1, g2)[0]
+
+
+def _fwl2_verdicts(g1: MilpInstance, g2: MilpInstance) -> tuple[bool, bool]:
+    """(whole-multiset, per-column) verdicts from one joint refinement."""
+    if (g1.m, g1.n) != (g2.m, g2.n):
+        raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
     (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2])[0]
-    return np.array_equal(np.sort(vw1, axis=None), np.sort(vw2, axis=None)) and np.array_equal(
-        np.sort(ww1, axis=None), np.sort(ww2, axis=None)
-    )
+
+    def same(axis):
+        return np.array_equal(np.sort(vw1, axis=axis), np.sort(vw2, axis=axis)) and np.array_equal(
+            np.sort(ww1, axis=axis), np.sort(ww2, axis=axis)
+        )
+
+    return same(None), same(0)

@@ -50,6 +50,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _exact(name: str, values, dtype) -> np.ndarray:
+    """values as an array of dtype.  A cast that would change a value (258
+    or 1.7 as an int8, 0.5 as a bool) is an InstanceError naming the field."""
+    raw = np.asarray(values)
+    try:
+        with np.errstate(invalid="ignore"):
+            cast = raw.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        cast = None
+    if cast is None or not np.array_equal(cast, raw):
+        raise InstanceError(f"field {name!r} holds a value that {np.dtype(dtype).name} cannot represent exactly")
+    return cast
+
+
 @dataclass(frozen=True)
 class MilpInstance:
     """Immutable MILP problem data, read directly as the bipartite graph:
@@ -77,12 +91,12 @@ class MilpInstance:
     def __post_init__(self):
         object.__setattr__(self, "c", _readonly(np.asarray(self.c, dtype=float)))
         object.__setattr__(self, "b", _readonly(np.asarray(self.b, dtype=float)))
-        object.__setattr__(self, "senses", _readonly(np.asarray(self.senses, dtype=np.int8)))
+        object.__setattr__(self, "senses", _readonly(_exact("senses", self.senses, np.int8)))
         object.__setattr__(self, "lower", _readonly(np.asarray(self.lower, dtype=float)))
         object.__setattr__(self, "upper", _readonly(np.asarray(self.upper, dtype=float)))
-        object.__setattr__(self, "integer", _readonly(np.asarray(self.integer, dtype=bool)))
-        rows = np.asarray(self.a_rows, dtype=np.int64)
-        cols = np.asarray(self.a_cols, dtype=np.int64)
+        object.__setattr__(self, "integer", _readonly(_exact("integer", self.integer, bool)))
+        rows = _exact("a_rows", self.a_rows, np.int64)
+        cols = _exact("a_cols", self.a_cols, np.int64)
         vals = np.asarray(self.a_vals, dtype=float)
         order = np.lexsort((cols, rows))
         object.__setattr__(self, "a_rows", _readonly(rows[order]))

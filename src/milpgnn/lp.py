@@ -20,11 +20,6 @@ from .instance import MilpInstance, Sense
 
 __all__ = ["LpStatus", "LpOutcome", "BoundOverride", "LpNumericalError", "solve_lp", "check_kkt", "min_norm_solution"]
 
-FEAS_TOL = 1e-9
-OPT_TOL = 1e-9
-KKT_TOL = 1e-8
-NORM_TOL = 1e-7
-
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"

@@ -22,6 +22,10 @@ Maron et al., "Provably Powerful Graph Networks", NeurIPS 2019) and the
 concatenated pair-of-pairs tensor is never built.  An MLP's backward pass
 takes each ReLU mask from the stored layer output.
 
+A network's parameters are one vector, ``GnnParams.theta``, from the moment
+``init_params`` draws them; every weight and bias is a view of it, so a
+copy, an Adam step, a save or a load acts on theta in one piece.
+
 Everything runs on plain numpy float64; gradients are checked against central
 finite differences in the test suite.
 """
@@ -82,10 +86,6 @@ class Mlp:
         self.weights = weights
         self.biases = biases
         self.output_relu = output_relu
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[0]
 
     def forward(self, x: np.ndarray, x2: np.ndarray | None = None):
         """x: (..., in_dim).  Returns (y, cache).
@@ -149,13 +149,6 @@ class Mlp:
         grads[0] = np.concatenate(dws)
         return tuple(dxs), grads
 
-    def param_arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
 
 def _distinct(x: np.ndarray) -> np.ndarray:
     """x with every leading axis of stride 0 (a broadcast axis) cut to length 1."""
@@ -167,14 +160,16 @@ def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
-@dataclass
+@dataclass(eq=False)  # field-wise == would compare theta arrays and raise
 class GnnParams:
-    """All learnable maps of one network.  slots holds, in a fixed order,
-    the initial encoders, L layers of four internal maps, and the readout."""
+    """All learnable maps of one network: the initial encoders, L layers of
+    four internal maps, and the readout.  theta holds every weight and bias
+    in flat() order; the maps' arrays are views of it."""
 
     kind: str  # "mpgnn" | "fgnn2"
     dim: int
     layers: int
+    theta: np.ndarray
     p0: Mlp
     q0: Mlp
     msg_layers: list[dict[str, Mlp]]  # per layer: p, q, f, g
@@ -188,67 +183,63 @@ class GnnParams:
         return maps + [self.readout]
 
     def flat(self) -> list[np.ndarray]:
-        return [a for mlp in self.mlps() for a in mlp.param_arrays()]
+        return [a for mlp in self.mlps() for pair in zip(mlp.weights, mlp.biases) for a in pair]
 
     def copy(self) -> "GnnParams":
-        def cp(m: Mlp) -> Mlp:
-            return Mlp([w.copy() for w in m.weights], [b.copy() for b in m.biases], m.output_relu)
-
-        return GnnParams(
-            kind=self.kind,
-            dim=self.dim,
-            layers=self.layers,
-            p0=cp(self.p0),
-            q0=cp(self.q0),
-            msg_layers=[{k: cp(v) for k, v in layer.items()} for layer in self.msg_layers],
-            readout=cp(self.readout),
-        )
+        """A copy of theta, with maps that are views of the copy."""
+        return _bind(self.kind, self.dim, self.layers, self.theta.copy())
 
 
-def _make_mlp(rng: np.random.Generator, dims: Sequence[int], output_relu: bool = False) -> Mlp:
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases, output_relu)
+# Input widths of each architecture's maps: the constraint encoder p0, the
+# variable encoder q0, then, as multiples of dim, the internal maps p, q, f
+# and g of every layer and the readout.
+_WIDTHS = {
+    "mpgnn": (CONS_FEATURES, VAR_FEATURES, (2, 2, 1, 1), 3),
+    "fgnn2": (CONS_FEATURES + VAR_FEATURES + 1, 2 * VAR_FEATURES + 1, (2, 2, 2, 2), 2),
+}
+
+
+def _bind(kind: str, dim: int, layers: int, theta: np.ndarray | None = None) -> GnnParams:
+    """The network's maps with every weight and bias a view of theta (by
+    default a new vector of zeros), laid out in flat() order: W0, b0, W1,
+    b1, ... of each map in turn."""
+    cons, var, internal, readout = _WIDTHS[kind]
+    maps = [[cons, dim], [var, dim]] + [[k * dim, dim, dim, dim] for _ in range(layers) for k in internal]
+    maps.append([readout * dim, dim, 1])
+    if theta is None:
+        theta = np.zeros(sum(a * b + b for dims in maps for a, b in zip(dims[:-1], dims[1:])))
+    mlps, offset = [], 0
+    for dims in maps:
+        weights, biases = [], []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            weights.append(theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
+            offset += fan_in * fan_out
+            biases.append(theta[offset : offset + fan_out])
+            offset += fan_out
+        mlps.append(Mlp(weights, biases, output_relu=True))
+    readout = mlps.pop()
+    readout.output_relu = False  # the scalar readout ends linearly
+    msg_layers = [dict(zip("pqfg", mlps[k : k + 4])) for k in range(2, len(mlps), 4)]
+    return GnnParams(kind, dim, layers, theta, mlps[0], mlps[1], msg_layers, readout)
 
 
 def init_params(kind: str, dim: int, layers: int, seed: int) -> GnnParams:
-    """Glorot-uniform weights, zero biases, fully determined by the seed."""
+    """Glorot-uniform weights, zero biases, fully determined by the seed.
+    Each weight is drawn straight into its place in theta."""
     if dim < 1 or layers < 1:
         raise ValueError("dim and layers must be >= 1")
-    if kind not in ("mpgnn", "fgnn2"):
+    if kind not in _WIDTHS:
         raise ValueError(f"unknown architecture {kind!r}")
+    params = _bind(kind, dim, layers)
     rng = np.random.default_rng(seed)
-    d = dim
-    if kind == "mpgnn":
-        p0 = _make_mlp(rng, [CONS_FEATURES, d], output_relu=True)
-        q0 = _make_mlp(rng, [VAR_FEATURES, d], output_relu=True)
-        msg_layers = [
-            {
-                "p": _make_mlp(rng, [2 * d, d, d, d], output_relu=True),
-                "q": _make_mlp(rng, [2 * d, d, d, d], output_relu=True),
-                "f": _make_mlp(rng, [d, d, d, d], output_relu=True),
-                "g": _make_mlp(rng, [d, d, d, d], output_relu=True),
-            }
-            for _ in range(layers)
-        ]
-        readout = _make_mlp(rng, [3 * d, d, 1])
-    else:
-        p0 = _make_mlp(rng, [CONS_FEATURES + VAR_FEATURES + 1, d], output_relu=True)
-        q0 = _make_mlp(rng, [2 * VAR_FEATURES + 1, d], output_relu=True)
-        msg_layers = [
-            {
-                "p": _make_mlp(rng, [2 * d, d, d, d], output_relu=True),
-                "q": _make_mlp(rng, [2 * d, d, d, d], output_relu=True),
-                "f": _make_mlp(rng, [2 * d, d, d, d], output_relu=True),
-                "g": _make_mlp(rng, [2 * d, d, d, d], output_relu=True),
-            }
-            for _ in range(layers)
-        ]
-        readout = _make_mlp(rng, [2 * d, d, 1])
-    return GnnParams(kind=kind, dim=dim, layers=layers, p0=p0, q0=q0, msg_layers=msg_layers, readout=readout)
+    for mlp in params.mlps():
+        for w in mlp.weights:
+            # uniform(-bound, bound) draws -bound + 2 bound u; so does this
+            bound = np.sqrt(6.0 / sum(w.shape))
+            rng.random(out=w)
+            w *= 2.0 * bound
+            w -= bound
+    return params
 
 
 def encode_graph(g: MilpInstance):
@@ -257,8 +248,7 @@ def encode_graph(g: MilpInstance):
     (XV, XW, dense A)."""
     xv = np.zeros((g.m, CONS_FEATURES))
     xv[:, 0] = g.b
-    for i in range(g.m):
-        xv[i, 1 + int(g.senses[i])] = 1.0
+    xv[np.arange(g.m), 1 + g.senses] = 1.0
     xw = np.zeros((g.n, VAR_FEATURES))
     xw[:, 0] = g.c
     lo_finite = np.isfinite(g.lower)
@@ -343,7 +333,7 @@ def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
     ds = np.broadcast_to(du[:, None, :], (bsz, m, d)).copy()
     dt = np.broadcast_to(dw[:, None, :], (bsz, n, d)).copy() + d_rin[..., 2 * d :]
 
-    layer_grads: list[list[np.ndarray]] = []
+    layer_grads = []
     for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
         d_pin, p_grads = layer["p"].backward(p_c, ds)
         ds_prev = d_pin[..., :d]
@@ -356,15 +346,17 @@ def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
         dg = a @ d_msg_w
         ds_from_g, g_grads = layer["g"].backward(g_c, dg)
         ds, dt = ds_prev + ds_from_g, dt_prev
-        layer_grads.append([p_grads, q_grads, f_grads, g_grads])
+        layer_grads.append(p_grads + q_grads + f_grads + g_grads)
 
+    return _flat_grads(params, s_cache, ds, t_cache, dt, layer_grads, r_grads)
+
+
+def _flat_grads(params: GnnParams, s_cache, ds, t_cache, dt, layer_grads, r_grads) -> list[np.ndarray]:
+    """Backpropagate into the encoders; every gradient in flat() order.
+    layer_grads holds each layer's p, q, f, g gradients, last layer first."""
     _, p0_grads = params.p0.backward(s_cache, ds)
     _, q0_grads = params.q0.backward(t_cache, dt)
-    flat = p0_grads + q0_grads
-    for p_grads, q_grads, f_grads, g_grads in reversed(layer_grads):
-        flat += p_grads + q_grads + f_grads + g_grads
-    flat += r_grads
-    return flat
+    return p0_grads + q0_grads + [g for grads in reversed(layer_grads) for g in grads] + r_grads
 
 
 def mpgnn_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
@@ -440,7 +432,7 @@ def _fgnn2_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
     ds = np.broadcast_to(d_rin[:, None, :, :d], (bsz, m, n, d)).copy()
     dt = np.broadcast_to(d_rin[:, None, :, d:], (bsz, n, n, d)).copy()
 
-    layer_grads: list[list[np.ndarray]] = []
+    layer_grads = []
     for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
         d_pin, p_grads = layer["p"].backward(p_c, ds)
         ds_prev = d_pin[..., :d].copy()
@@ -456,15 +448,9 @@ def _fgnn2_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
         (d_s2, d_s1), g_grads = layer["g"].backward(g_c, np.broadcast_to(d_msg_t[:, :, :, None], (bsz, n, n, m, d)))
         ds_prev += np.transpose(d_s2.sum(axis=1) + d_s1.sum(axis=2), (0, 2, 1, 3))  # (B, j, i) -> (B, i, j)
         ds, dt = ds_prev, dt_prev
-        layer_grads.append([p_grads, q_grads, f_grads, g_grads])
+        layer_grads.append(p_grads + q_grads + f_grads + g_grads)
 
-    _, p0_grads = params.p0.backward(s_cache, ds)
-    _, q0_grads = params.q0.backward(t_cache, dt)
-    flat = p0_grads + q0_grads
-    for p_grads, q_grads, f_grads, g_grads in reversed(layer_grads):
-        flat += p_grads + q_grads + f_grads + g_grads
-    flat += r_grads
-    return flat
+    return _flat_grads(params, s_cache, ds, t_cache, dt, layer_grads, r_grads)
 
 
 def fgnn2_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
@@ -543,17 +529,23 @@ def grad(params: GnnParams, dataset):
     return total, acc
 
 
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# (loss bound, rate), tightest bound first: once the loss is at or below a
+# bound, Adam steps at that rate instead of the configured one
+LR_DECAY = ((1e-12, 1e-7), (1e-6, 1e-6))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam schedule: base rate, decayed when the loss crosses the two
-    thresholds; stops early once target_loss is reached (if set)."""
+    """Adam's base rate, decayed by LR_DECAY as the loss falls; stops early
+    once target_loss is reached (if set).  seed is read nowhere, since
+    init_params's seed alone fixes a run; it stays for the callers that
+    pass it."""
 
     learning_rate: float = 1e-5
-    decay_thresholds: tuple[float, float] = (1e-6, 1e-12)
-    decayed_rates: tuple[float, float] = (1e-6, 1e-7)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 10_000
     target_loss: float | None = None
     seed: int = 0
@@ -569,54 +561,34 @@ def train(
     list of (epoch, loss, lr) rows; the loss is the pre-step value.
 
     The dataset is grouped into same-shape batches once, before the first
-    epoch, so no graph is encoded inside the epoch loop.  The trained copy's
-    weights and biases are views of one vector, so each Adam step is a few
-    operations on that vector and on its two moment vectors."""
-    params, theta = _on_one_buffer(params)
+    epoch, so no graph is encoded inside the epoch loop.  Each Adam step is
+    a few operations on the trained copy's theta and its two moment
+    vectors."""
+    params = params.copy()
     dataset = _shape_batches(dataset)
-    m_state = np.zeros_like(theta)
-    v_state = np.zeros_like(theta)
+    m_state = np.zeros_like(params.theta)
+    v_state = np.zeros_like(params.theta)
     curve: list[tuple[int, float, float]] = []
     for epoch in range(cfg.epochs):
         value, grads = grad(params, dataset)
         if np.isnan(value):
             raise DivergenceError(epoch)
-        if value <= cfg.decay_thresholds[1]:
-            lr = cfg.decayed_rates[1]
-        elif value <= cfg.decay_thresholds[0]:
-            lr = cfg.decayed_rates[0]
-        else:
-            lr = cfg.learning_rate
+        lr = next((rate for bound, rate in LR_DECAY if value <= bound), cfg.learning_rate)
         curve.append((epoch, value, lr))
         if on_epoch is not None:
             on_epoch(epoch, value, lr)
         if cfg.target_loss is not None and value <= cfg.target_loss:
             break
         t = epoch + 1
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - ADAM_BETA1**t
+        bias2 = 1.0 - ADAM_BETA2**t
         gr = np.concatenate([g.ravel() for g in grads])
-        m_state *= cfg.beta1
-        m_state += (1.0 - cfg.beta1) * gr
-        v_state *= cfg.beta2
-        v_state += (1.0 - cfg.beta2) * gr * gr
-        theta -= lr * (m_state / bias1) / (np.sqrt(v_state / bias2) + cfg.eps)
+        m_state *= ADAM_BETA1
+        m_state += (1.0 - ADAM_BETA1) * gr
+        v_state *= ADAM_BETA2
+        v_state += (1.0 - ADAM_BETA2) * gr * gr
+        params.theta -= lr * (m_state / bias1) / (np.sqrt(v_state / bias2) + ADAM_EPS)
     return params, curve
-
-
-def _on_one_buffer(params: GnnParams) -> tuple[GnnParams, np.ndarray]:
-    """A copy of params whose weights and biases are views of one vector,
-    laid out in flat() order; returns (copy, vector)."""
-    params = params.copy()
-    buffer = np.concatenate([a.ravel() for a in params.flat()])
-    offset = 0
-    for mlp in params.mlps():
-        for k in range(len(mlp.weights)):
-            for arrays in (mlp.weights, mlp.biases):
-                size = arrays[k].size
-                arrays[k] = buffer[offset : offset + size].reshape(arrays[k].shape)
-                offset += size
-    return params, buffer
 
 
 def write_curve_csv(curve, path) -> None:
@@ -631,19 +603,19 @@ def write_curve_csv(curve, path) -> None:
 
 
 def save_params(params: GnnParams, path) -> None:
-    arrays = params.flat()
+    """A JSON header naming the architecture and every array's shape, then
+    theta, which holds the arrays in flat() order."""
     header = {
         "kind": params.kind,
         "dim": params.dim,
         "layers": params.layers,
-        "shapes": [list(a.shape) for a in arrays],
+        "shapes": [list(a.shape) for a in params.flat()],
     }
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(params.theta.astype("<f8", copy=False).tobytes())
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
@@ -660,12 +632,10 @@ def load_params(path) -> GnnParams:
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "the header length"))
         header = json.loads(_read_exact(fh, hlen, "the header"))
         params = init_params(header["kind"], header["dim"], header["layers"], seed=0)
-        arrays = params.flat()
-        if header["shapes"] != [list(a.shape) for a in arrays]:
+        if header["shapes"] != [list(a.shape) for a in params.flat()]:
             raise ValueError("shape header does not match the architecture")
-        for k, a in enumerate(arrays):
-            raw = _read_exact(fh, 8 * a.size, f"array {k}")
-            a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)
+        raw = _read_exact(fh, 8 * params.theta.size, "the arrays")
+        params.theta[...] = np.frombuffer(raw, dtype="<f8")
         if fh.read(1):
             raise ValueError("parameter file has trailing bytes after the last array")
     return params

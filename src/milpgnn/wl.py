@@ -187,7 +187,11 @@ def is_mp_tractable(inst: MilpInstance) -> tuple[bool, tuple[int, int, int, int,
     Returns (True, None) or (False, (p, q, i, i2, j, j2)) where
     A[i, j] != A[i2, j2] inside block (p, q), i and j are the first row and
     column of the block, and (p, q, i2, j2) is the smallest such tuple."""
-    part = stable_partition(inst)
+    return _block_verdict(inst, stable_partition(inst))
+
+
+def _block_verdict(inst: MilpInstance, part: StablePartition):
+    """``is_mp_tractable``'s verdict on an already computed stable partition."""
     a = inst.dense_matrix()
     block_v, first_v = _blocks(part.classes_v, inst.m)
     block_w, first_w = _blocks(part.classes_w, inst.n)

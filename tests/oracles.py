@@ -539,7 +539,10 @@ def fgnn2_grad(params, dataset):
 
 def adam_train(params, dataset, cfg):
     """``nn.train`` with Adam stepped array by array; gradients from
-    ``nn.grad``.  Returns (trained params, curve)."""
+    ``nn.grad``.  Adam's betas and epsilon and the rate decay are written out
+    here rather than read from ``nn``, so a changed constant there shows.
+    Returns (trained params, curve)."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     params = params.copy()
     arrays = params.flat()
     m_state = [np.zeros_like(a) for a in arrays]
@@ -547,22 +550,22 @@ def adam_train(params, dataset, cfg):
     curve = []
     for epoch in range(cfg.epochs):
         value, grads = nn.grad(params, dataset)
-        if value <= cfg.decay_thresholds[1]:
-            lr = cfg.decayed_rates[1]
-        elif value <= cfg.decay_thresholds[0]:
-            lr = cfg.decayed_rates[0]
+        if value <= 1e-12:
+            lr = 1e-7
+        elif value <= 1e-6:
+            lr = 1e-6
         else:
             lr = cfg.learning_rate
         curve.append((epoch, value, lr))
         if cfg.target_loss is not None and value <= cfg.target_loss:
             break
         t = epoch + 1
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - beta1**t
+        bias2 = 1.0 - beta2**t
         for a, gr, ms, vs in zip(arrays, grads, m_state, v_state):
-            ms *= cfg.beta1
-            ms += (1.0 - cfg.beta1) * gr
-            vs *= cfg.beta2
-            vs += (1.0 - cfg.beta2) * gr * gr
-            a -= lr * (ms / bias1) / (np.sqrt(vs / bias2) + cfg.eps)
+            ms *= beta1
+            ms += (1.0 - beta1) * gr
+            vs *= beta2
+            vs += (1.0 - beta2) * gr * gr
+            a -= lr * (ms / bias1) / (np.sqrt(vs / bias2) + eps)
     return params, curve

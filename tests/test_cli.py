@@ -204,3 +204,38 @@ class TestReproduceCounterexample:
         code1, r1 = run(capsys, "reproduce-counterexample", "--seed", "4")
         code2, r2 = run(capsys, "reproduce-counterexample", "--seed", "4")
         assert (code1, r1) == (code2, r2)
+
+
+class TestOneRefinementPerCommand:
+    """Each command reads all its verdicts from a single refinement to
+    stability: the partition and the tractability verdict from one WL run,
+    both 2-FWL verdicts from one joint run."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from milpgnn import fwl, wl
+
+        seen = []
+        for module in (wl, fwl):
+            inner = module._refine_to_stability
+
+            def counting(graphs, module=module, inner=inner):
+                seen.append(module.__name__.rsplit(".", 1)[1])
+                return inner(graphs)
+
+            monkeypatch.setattr(module, "_refine_to_stability", counting)
+        return seen
+
+    def test_check_tractability(self, capsys, pair_files, calls):
+        assert run(capsys, "check-tractability", pair_files[0])[0] == 3
+        assert calls == ["wl"]
+
+    def test_fwl2_compare(self, capsys, pair_files, calls):
+        assert run(capsys, "fwl2-compare", *pair_files)[0] == 0
+        assert calls == ["fwl"]
+
+    def test_reproduce_counterexample(self, capsys, calls):
+        assert run(capsys, "reproduce-counterexample")[0] == 0
+        # one WL run per instance for tractability, one joint WL run, one
+        # joint 2-FWL run
+        assert sorted(calls) == ["fwl", "wl", "wl", "wl"]

@@ -1,17 +1,22 @@
-"""No module of the package and no script imports a name it never uses, and
-every name the package exports exists.
+"""No module of the package and no script imports a name it never uses, no
+module of the package defines a constant nothing reads, and every name the
+package exports exists.
 
 No linter ships with the test dependencies, so this reads each file's syntax
 tree: every name bound by an ``import`` must be read somewhere in the file,
 or be listed in its ``__all__``.  The package's ``__init__.py`` is left out,
-since importing names there is how it re-exports them.  Each name in the
-package's and each module's ``__all__`` must resolve on the imported module,
-so a kept alias such as ``MilpGraph`` cannot disappear silently.
+since importing names there is how it re-exports them.  A module-level
+constant (an upper-case name, a leading underscore allowed) of the package
+must be read somewhere in the package or the scripts, or be listed in its
+module's ``__all__``.  Each name in the package's and each module's
+``__all__`` must resolve on the imported module, so a kept alias such as
+``MilpGraph`` cannot disappear silently.
 """
 
 import ast
 import importlib
 import os
+import re
 import types
 
 import pytest
@@ -25,6 +30,15 @@ FILES = sorted(
 )
 
 
+def exported(tree) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return names
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     bound = {}
@@ -35,10 +49,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     return sorted(f"line {line}: {name}" for name, line in bound.items() if name not in read)
 
 
@@ -51,6 +62,61 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom typing import Callable, Sequence\nx: Sequence = []\n"
     assert unused_imports(source) == ["line 1: os", "line 2: Callable"]
+
+
+def unread_constants(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Module-level constants of the package (file name -> source) that no
+    source in ``package`` or ``readers`` reads, by name or as an attribute,
+    and that are not exported."""
+    read = set()
+    for source in list(package.values()) + readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for name, source in package.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if (
+                    isinstance(target, ast.Name)
+                    and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+                    and target.id not in read | exported(tree)
+                ):
+                    unread.append(f"{name}: {target.id}")
+    return sorted(unread)
+
+
+def read_all(paths) -> dict[str, str]:
+    out = {}
+    for path in paths:
+        with open(path) as fh:
+            out[os.path.relpath(path, ROOT)] = fh.read()
+    return out
+
+
+def test_every_constant_is_read():
+    package = read_all(
+        os.path.join(ROOT, "src", "milpgnn", name)
+        for name in os.listdir(os.path.join(ROOT, "src", "milpgnn"))
+        if name.endswith(".py")
+    )
+    scripts = read_all(path for path in FILES if os.path.dirname(path) == os.path.join(ROOT, "scripts"))
+    assert unread_constants(package, list(scripts.values())) == []
+
+
+def test_the_check_sees_an_unread_constant():
+    package = {
+        "a.py": "__all__ = ['EXPORTED']\nEXPORTED = 1\nUSED = 2\nUNUSED = 3\n_PRIVATE: int = 4\nlower = 5\n",
+        "b.py": "from .a import USED\n",
+    }
+    assert unread_constants(package, ["import a\nprint(a._PRIVATE)\n"]) == ["a.py: UNUSED"]
+    assert unread_constants(package, []) == ["a.py: UNUSED", "a.py: _PRIVATE"]
 
 
 def unresolved(module) -> list[str]:

@@ -121,6 +121,33 @@ class TestValidation:
                 a_rows=np.array([]), a_cols=np.array([]), a_vals=np.array([]),
             )
 
+    # the constructor casts each index and flag field; a cast that changes a
+    # value must be rejected, not stored
+
+    @pytest.mark.parametrize("senses", [np.array([258, 0]), np.array([1.7, 0]), np.array([-254, 0]), [258, 0]])
+    def test_lossy_sense_cast_rejected(self, senses):
+        with pytest.raises(InstanceError, match="'senses'"):
+            dataclasses.replace(tiny(), senses=senses)
+
+    def test_lossy_row_cast_rejected(self):
+        with pytest.raises(InstanceError, match="'a_rows'"):
+            dataclasses.replace(tiny(), a_rows=np.array([0.7, 0.0, 1.0]))
+
+    def test_lossy_column_cast_rejected(self):
+        with pytest.raises(InstanceError, match="'a_cols'"):
+            dataclasses.replace(tiny(), a_cols=np.array([0.0, 2.5, 1.0]))
+
+    @pytest.mark.parametrize("integer", [[0.5, 0, 1], [2, 0, 1]])
+    def test_lossy_integrality_cast_rejected(self, integer):
+        with pytest.raises(InstanceError, match="'integer'"):
+            dataclasses.replace(tiny(), integer=integer)
+
+    def test_exact_casts_accepted(self):
+        inst = dataclasses.replace(
+            tiny(), senses=[0, 2], integer=[1, 0, 1.0], a_rows=np.array([0.0, 0.0, 1.0]), a_cols=[0, 2, 1]
+        )
+        assert inst == tiny()
+
 
 class TestSerialization:
     def test_roundtrip_preserves_equality(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -311,7 +313,36 @@ class TestAgainstOracle:
         assert curve[-1][1] < curve[0][1]
 
 
+class TestOneVector:
+    @pytest.mark.parametrize("kind", ["mpgnn", "fgnn2"])
+    def test_every_array_is_a_view_of_theta(self, kind):
+        params = nn.init_params(kind, 8, 2, seed=1)
+        arrays = params.flat()
+        assert all(np.shares_memory(a, params.theta) for a in arrays)
+        assert sum(a.size for a in arrays) == params.theta.size
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), params.theta)
+
+    @pytest.mark.parametrize("kind", ["mpgnn", "fgnn2"])
+    def test_copy_shares_nothing_with_the_original(self, kind):
+        params = nn.init_params(kind, 8, 2, seed=1)
+        twin = params.copy()
+        assert not np.shares_memory(twin.theta, params.theta)
+        assert all(np.shares_memory(a, twin.theta) for a in twin.flat())
+        assert not any(np.shares_memory(a, params.theta) for a in twin.flat())
+        assert np.array_equal(twin.theta, params.theta)
+        twin.theta += 1.0
+        assert not np.array_equal(twin.theta, params.theta)
+
+
 class TestSerialization:
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # digest of this file as written before the parameters became one
+        # vector; the format is a header and then every array in flat() order
+        path = tmp_path / "params.bin"
+        nn.save_params(nn.init_params("fgnn2", 8, 2, seed=11), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "0e3b9db7c4c6344b35402d962ed710d7daafc37289c9449dc6fc1ea260856ed0"
+
     def test_roundtrip(self, tmp_path):
         params = nn.init_params("fgnn2", 8, 2, seed=11)
         path = tmp_path / "params.bin"
