@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Exit codes are a stable contract: 0 success, 1 input error, 2 undefined
-branching scores (infeasible or unbounded relaxation), 3 intractable verdict
-from check-tractability.  Machine-readable JSON goes to stdout with 0-based
-indices; the human-readable partition summary uses 1-based indices.
+Exit codes are a stable contract: 0 success, 1 input error (a bad file or
+argument), 2 undefined branching scores (infeasible or unbounded relaxation),
+3 intractable verdict from check-tractability, 4 numerical failure (the LP
+backend or the min-norm QP failed to converge, or the training loss became
+NaN).  Every failure prints one ``error:`` line to stderr.  Machine-readable
+JSON goes to stdout with 0-based indices; the human-readable partition
+summary uses 1-based indices.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from . import nn
 from .fwl import _fwl2_verdicts
 from .gen import counterexample_pair, gen_set_cover, gen_training_set
 from .instance import InstanceError, MilpInstance, load_instance, serialize_instance
+from .lp import LpNumericalError
 from .sb import (
     PRODUCT_RULE,
     RelaxationInfeasibleError,
@@ -33,6 +37,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNDEFINED_SB = 2
 EXIT_INTRACTABLE = 3
+EXIT_NUMERICAL = 4
 
 
 class CliInputError(Exception):
@@ -173,9 +178,12 @@ def _load_dataset(spec: str):
 
 
 def cmd_train(args) -> int:
+    try:
+        params = nn.init_params(args.arch, args.dim, args.layers, args.seed)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
     dataset = _load_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
-    params = nn.init_params(args.arch, args.dim, args.layers, args.seed)
     cfg = nn.TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -201,15 +209,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     manifest = {"family": args.family, "seeds": [], "files": [], "rejected": 0}
-    if args.family == "random":
-        insts, rejected = gen_training_set(args.seed, args.count, m=args.m, n=args.n, nnz=args.nnz)
-        manifest["rejected"] = rejected
-    elif args.family == "set-cover":
-        insts = [gen_set_cover(args.seed + k, args.m, args.n, args.density) for k in range(args.count)]
-    else:
-        insts = list(counterexample_pair())
+    try:
+        if args.family == "random":
+            insts, manifest["rejected"] = gen_training_set(args.seed, args.count, m=args.m, n=args.n, nnz=args.nnz)
+        elif args.family == "set-cover":
+            insts = [gen_set_cover(args.seed + k, args.m, args.n, args.density) for k in range(args.count)]
+        else:
+            insts = list(counterexample_pair())
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
+    os.makedirs(args.out, exist_ok=True)
     for k, inst in enumerate(insts):
         name = f"{args.family}_{args.seed + k:06d}.json"
         with open(os.path.join(args.out, name), "w") as fh:
@@ -315,6 +325,9 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (LpNumericalError, nn.DivergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

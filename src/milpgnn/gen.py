@@ -151,9 +151,15 @@ def counterexample_pair() -> tuple[MilpInstance, MilpInstance]:
 
 def gen_set_cover(seed: int, rows: int, cols: int, density: float) -> MilpInstance:
     """0/1 covering matrix with per-entry inclusion probability ``density``;
-    empty rows are resampled so the relaxation is never trivially infeasible."""
+    empty rows are resampled so the relaxation is never trivially infeasible.
+    Negative sizes, and rows without a column to cover them, are
+    ValueErrors."""
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
+    if rows < 0 or cols < 0:
+        raise ValueError("rows and cols must be >= 0")
+    if rows and not cols:
+        raise ValueError("a set-cover instance with rows needs at least one column to cover them")
     rng = PortableRng(seed)
     r_idx, c_idx = [], []
     for i in range(rows):

@@ -15,12 +15,15 @@ node features and dense A from the ``MilpInstance``.  A single graph runs as
 a batch of one.  A list of (instance, target) pairs is grouped by (m, n) in
 the order each shape first appears, one batch per shape, and loss and
 gradients are summed over the groups in that order, so accumulation is
-deterministic.  The 2-FGNN's pair maps f and g take the
-two halves of their input as broadcast operands, so the first layer is
-applied to each half on its own rows (as in the pair-tensor networks of
-Maron et al., "Provably Powerful Graph Networks", NeurIPS 2019) and the
-concatenated pair-of-pairs tensor is never built.  An MLP's backward pass
-takes each ReLU mask from the stored layer output.
+deterministic.
+
+Every map takes its input as operands whose concatenation is the input: p
+and q get (state, message), a readout the pooled states.  An operand may be
+a broadcast view; the first layer multiplies it by its block of W0 on its
+distinct rows only (as in the pair-tensor networks of Maron et al.,
+"Provably Powerful Graph Networks", NeurIPS 2019), so no concatenated
+input is ever built.  An MLP's backward pass returns one gradient per
+operand and takes each ReLU mask from the stored layer output.
 
 A network's parameters are one vector, ``GnnParams.theta``, from the moment
 ``init_params`` draws them; every weight and bias is a view of it, so a
@@ -87,24 +90,22 @@ class Mlp:
         self.biases = biases
         self.output_relu = output_relu
 
-    def forward(self, x: np.ndarray, x2: np.ndarray | None = None):
-        """x: (..., in_dim).  Returns (y, cache).
+    def forward(self, *operands: np.ndarray):
+        """operands: arrays (..., k_i) of one lead shape with sum k_i =
+        in_dim, whose concatenation along the last axis is the input; it is
+        never built.  Returns (y, cache).
 
-        With x2 the input is the concatenation [x, x2] of two operands of one
-        shape (..., k) and (..., in_dim - k), and it is never built.  Either
-        operand may be a broadcast view (``np.broadcast_to``): the first
-        layer multiplies each by its rows of W on the operand's distinct rows
-        only (axes of stride 0 cut to length 1) and broadcasts the sum."""
-        lead = x.shape[:-1]
-        w0 = self.weights[0]
-        if x2 is None:
-            operands = (x,)
-            h = _rows_matmul(x, w0)
-        else:
-            operands = (_distinct(x), _distinct(x2))
-            half = x.shape[-1]
-            h = _rows_matmul(operands[0], w0[:half]) + _rows_matmul(operands[1], w0[half:])
-        h = h.reshape(-1, w0.shape[1])
+        Any operand may be a broadcast view (``np.broadcast_to``): the first
+        layer multiplies each operand by its own block of rows of W0 on the
+        operand's distinct rows only (axes of stride 0 cut to length 1) and
+        adds the products, broadcast to the lead shape."""
+        lead = operands[0].shape[:-1]
+        operands = tuple(map(_distinct, operands))
+        parts = list(map(_rows_matmul, operands, _row_blocks(self.weights[0], operands)))
+        h = sum(parts[1:], parts[0])
+        if h.shape[:-1] != lead:  # every operand is broadcast along some axis
+            h = np.broadcast_to(h, (*lead, h.shape[-1])).copy()
+        h = h.reshape(-1, h.shape[-1])
         # every layer output is kept: it is the next layer's input, and its
         # sign is the ReLU mask backward needs
         outs = []
@@ -120,8 +121,9 @@ class Mlp:
 
     def backward(self, cache, dy: np.ndarray):
         """Returns (dx, grads) with grads ordered [dW0, db0, dW1, db1, ...].
-        For two operands dx is a pair, each summed over its operand's
-        broadcast axes (kept with length 1)."""
+        dx holds one input gradient per operand, summed over that operand's
+        broadcast axes (kept with length 1); a lone operand's gradient is
+        returned bare."""
         lead, outs, operands = cache
         d = dy.reshape(-1, dy.shape[-1])
         last = len(self.weights) - 1
@@ -134,25 +136,35 @@ class Mlp:
             if k:
                 grads[2 * k] = outs[k - 1].T @ d
                 d = d @ self.weights[k].T
-        w0 = self.weights[0]
-        if len(operands) == 1:
-            grads[0] = operands[0].reshape(-1, w0.shape[0]).T @ d
-            return (d @ w0.T).reshape(*lead, w0.shape[0]), grads
-        half = operands[0].shape[-1]
         d = d.reshape(*lead, d.shape[-1])
         dxs, dws = [], []
-        for op, w in zip(operands, (w0[:half], w0[half:])):
-            axes = tuple(ax for ax, (a, b) in enumerate(zip(op.shape, lead)) if a != b)
-            d_op = d.sum(axis=axes, keepdims=True)
-            dws.append(op.reshape(-1, op.shape[-1]).T @ d_op.reshape(-1, d.shape[-1]))
-            dxs.append(_rows_matmul(d_op, w.T))
+        for x, w in zip(operands, _row_blocks(self.weights[0], operands)):
+            axes = tuple(ax for ax, (a, b) in enumerate(zip(x.shape, lead)) if a != b)
+            d_x = d.sum(axis=axes, keepdims=True) if axes else d
+            dws.append(x.reshape(-1, x.shape[-1]).T @ d_x.reshape(-1, d.shape[-1]))
+            dxs.append(_rows_matmul(d_x, w.T))
         grads[0] = np.concatenate(dws)
-        return tuple(dxs), grads
+        return (dxs[0] if len(dxs) == 1 else tuple(dxs)), grads
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
-    """x with every leading axis of stride 0 (a broadcast axis) cut to length 1."""
-    return x[tuple(slice(0, 1) if st == 0 else slice(None) for st in x.strides[:-1])]
+    """x with every leading axis of stride 0 (a broadcast axis) cut to length
+    1.  An empty x is kept whole: numpy gives all of its axes stride 0."""
+    if x.size and 0 in x.strides[:-1]:
+        return x[tuple(slice(0, 1) if st == 0 else slice(None) for st in x.strides[:-1])]
+    return x
+
+
+def _row_blocks(w: np.ndarray, operands) -> list[np.ndarray]:
+    """w cut into consecutive blocks of rows, one per operand, each as tall as
+    its operand is wide."""
+    blocks, row = [], 0
+    for x in operands:
+        blocks.append(w[row : row + x.shape[-1]])
+        row += x.shape[-1]
+    if row != w.shape[0]:
+        raise ValueError(f"operands of total width {row} for a map of input width {w.shape[0]}")
+    return blocks
 
 
 def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -299,25 +311,15 @@ def mpgnn_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: boo
     layer_caches = []
     for layer in params.msg_layers:
         f_out, f_c = layer["f"].forward(t)
-        msg_v = a @ f_out
-        s_new, p_c = layer["p"].forward(np.concatenate([s, msg_v], axis=2))
+        s_new, p_c = layer["p"].forward(s, a @ f_out)
         g_out, g_c = layer["g"].forward(s)
-        msg_w = np.transpose(a, (0, 2, 1)) @ g_out
-        t_new, q_c = layer["q"].forward(np.concatenate([t, msg_w], axis=2))
+        t_new, q_c = layer["q"].forward(t, np.transpose(a, (0, 2, 1)) @ g_out)
         layer_caches.append((f_c, p_c, g_c, q_c))
         s, t = s_new, t_new
-    d = params.dim
-    u = s.sum(axis=1)  # (B, d)
-    w = t.sum(axis=1)
-    r_in = np.concatenate(
-        [
-            np.broadcast_to(u[:, None, :], (bsz, n, d)),
-            np.broadcast_to(w[:, None, :], (bsz, n, d)),
-            t,
-        ],
-        axis=2,
-    )
-    y, r_c = params.readout.forward(r_in)
+    # u = sum_i s_i and w = sum_j t_j, one row per graph broadcast over its variables
+    u = np.broadcast_to(s.sum(axis=1, keepdims=True), t.shape)
+    w = np.broadcast_to(t.sum(axis=1, keepdims=True), t.shape)
+    y, r_c = params.readout.forward(u, w, t)
     y = y[..., 0]
     if not want_cache:
         return y
@@ -326,26 +328,18 @@ def mpgnn_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: boo
 
 def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
     a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n) = cache
-    d = params.dim
-    d_rin, r_grads = params.readout.backward(r_c, dy[..., None])
-    du = d_rin[..., :d].sum(axis=1)  # (B, d)
-    dw = d_rin[..., d : 2 * d].sum(axis=1)
-    ds = np.broadcast_to(du[:, None, :], (bsz, m, d)).copy()
-    dt = np.broadcast_to(dw[:, None, :], (bsz, n, d)).copy() + d_rin[..., 2 * d :]
+    (du, dw, dt), r_grads = params.readout.backward(r_c, dy[..., None])
+    # du and dw keep their broadcast axis, of length 1, or 0 when n = 0
+    ds = np.broadcast_to(du.sum(axis=1, keepdims=True), (bsz, m, params.dim))
+    dt = dt + dw.sum(axis=1, keepdims=True)
 
     layer_grads = []
     for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
-        d_pin, p_grads = layer["p"].backward(p_c, ds)
-        ds_prev = d_pin[..., :d]
-        d_msg_v = d_pin[..., d:]
-        df = np.transpose(a, (0, 2, 1)) @ d_msg_v
-        dt_from_f, f_grads = layer["f"].backward(f_c, df)
-        d_qin, q_grads = layer["q"].backward(q_c, dt)
-        dt_prev = d_qin[..., :d] + dt_from_f
-        d_msg_w = d_qin[..., d:]
-        dg = a @ d_msg_w
-        ds_from_g, g_grads = layer["g"].backward(g_c, dg)
-        ds, dt = ds_prev + ds_from_g, dt_prev
+        (ds_prev, d_msg_v), p_grads = layer["p"].backward(p_c, ds)
+        dt_from_f, f_grads = layer["f"].backward(f_c, np.transpose(a, (0, 2, 1)) @ d_msg_v)
+        (dt_prev, d_msg_w), q_grads = layer["q"].backward(q_c, dt)
+        ds_from_g, g_grads = layer["g"].backward(g_c, a @ d_msg_w)
+        ds, dt = ds_prev + ds_from_g, dt_prev + dt_from_f
         layer_grads.append(p_grads + q_grads + f_grads + g_grads)
 
     return _flat_grads(params, s_cache, ds, t_cache, dt, layer_grads, r_grads)
@@ -372,31 +366,23 @@ def mpgnn_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
 def fgnn2_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: bool = False):
     """Pair features over (constraint, variable) and (variable, variable)
     pairs of each graph in the batch; outputs y_j = readout(sum_i s_ij,
-    sum_j1 t_{j1 j}).  The pair maps f and g see their two operands as
-    broadcast views, so their first layer runs on the operands' own rows."""
+    sum_j1 t_{j1 j}).  Every map's operands that repeat along a pair axis
+    are broadcast views of the per-node or per-pair arrays."""
     if params.kind != "fgnn2":
         raise ValueError("params are not for the folklore network")
     xv, xw, a = batch.xv, batch.xw, batch.a
     bsz, m, n = a.shape
     d = params.dim
-    s_in = np.concatenate(
-        [
-            np.broadcast_to(xv[:, :, None, :], (bsz, m, n, CONS_FEATURES)),
-            np.broadcast_to(xw[:, None, :, :], (bsz, m, n, VAR_FEATURES)),
-            a[..., None],
-        ],
-        axis=3,
+    s, s_cache = params.p0.forward(  # (B, m, n, d)
+        np.broadcast_to(xv[:, :, None, :], (bsz, m, n, CONS_FEATURES)),
+        np.broadcast_to(xw[:, None, :, :], (bsz, m, n, VAR_FEATURES)),
+        a[..., None],
     )
-    t_in = np.concatenate(
-        [
-            np.broadcast_to(xw[:, :, None, :], (bsz, n, n, VAR_FEATURES)),
-            np.broadcast_to(xw[:, None, :, :], (bsz, n, n, VAR_FEATURES)),
-            np.broadcast_to(np.eye(n)[None, :, :, None], (bsz, n, n, 1)),
-        ],
-        axis=3,
+    t, t_cache = params.q0.forward(  # (B, n, n, d)
+        np.broadcast_to(xw[:, :, None, :], (bsz, n, n, VAR_FEATURES)),
+        np.broadcast_to(xw[:, None, :, :], (bsz, n, n, VAR_FEATURES)),
+        np.broadcast_to(np.eye(n)[None, :, :, None], (bsz, n, n, 1)),
     )
-    s, s_cache = params.p0.forward(s_in)  # (B, m, n, d)
-    t, t_cache = params.q0.forward(t_in)  # (B, n, n, d)
 
     layer_caches = []
     for layer in params.msg_layers:
@@ -405,20 +391,20 @@ def fgnn2_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: boo
             np.broadcast_to(np.transpose(t, (0, 2, 1, 3))[:, None], (bsz, m, n, n, d)),
             np.broadcast_to(s[:, :, None], (bsz, m, n, n, d)),
         )
-        s_new, p_c = layer["p"].forward(np.concatenate([s, f_out.sum(axis=3)], axis=3))
+        s_new, p_c = layer["p"].forward(s, f_out.sum(axis=3))
         # message into t[j1, j2]: sum over i of g(s[i, j2], s[i, j1]); axes (B, j1, j2, i)
         st = np.transpose(s, (0, 2, 1, 3))  # (B, n, m, d)
         g_out, g_c = layer["g"].forward(
             np.broadcast_to(st[:, None], (bsz, n, n, m, d)),
             np.broadcast_to(st[:, :, None], (bsz, n, n, m, d)),
         )
-        t_new, q_c = layer["q"].forward(np.concatenate([t, g_out.sum(axis=3)], axis=3))
+        t_new, q_c = layer["q"].forward(t, g_out.sum(axis=3))
         layer_caches.append((f_c, p_c, g_c, q_c))
         s, t = s_new, t_new
 
     us = s.sum(axis=1)  # (B, n, d)
     ut = t.sum(axis=1)  # (B, n, d), sums t[j1, j] over j1
-    y, r_c = params.readout.forward(np.concatenate([us, ut], axis=2))
+    y, r_c = params.readout.forward(us, ut)
     y = y[..., 0]
     if not want_cache:
         return y
@@ -428,23 +414,20 @@ def fgnn2_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: boo
 def _fgnn2_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
     s_cache, t_cache, layer_caches, r_c, (bsz, m, n) = cache
     d = params.dim
-    d_rin, r_grads = params.readout.backward(r_c, dy[..., None])
-    ds = np.broadcast_to(d_rin[:, None, :, :d], (bsz, m, n, d)).copy()
-    dt = np.broadcast_to(d_rin[:, None, :, d:], (bsz, n, n, d)).copy()
+    (d_us, d_ut), r_grads = params.readout.backward(r_c, dy[..., None])
+    ds = np.broadcast_to(d_us[:, None], (bsz, m, n, d))
+    dt = np.broadcast_to(d_ut[:, None], (bsz, n, n, d))
 
     layer_grads = []
     for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
-        d_pin, p_grads = layer["p"].backward(p_c, ds)
-        ds_prev = d_pin[..., :d].copy()
-        d_msg_s = d_pin[..., d:]  # (B, m, n, d)
+        (ds_prev, d_msg_s), p_grads = layer["p"].backward(p_c, ds)  # (B, m, n, d) each
         (d_tj, d_si), f_grads = layer["f"].backward(f_c, np.broadcast_to(d_msg_s[:, :, :, None], (bsz, m, n, n, d)))
         # each operand's gradient keeps its broadcast axis; summing drops it
         dt_prev = np.transpose(d_tj.sum(axis=1), (0, 2, 1, 3))  # (B, j, j1) -> (B, j1, j)
         ds_prev += d_si.sum(axis=2)  # (B, i, j1)
 
-        d_qin, q_grads = layer["q"].backward(q_c, dt)
-        dt_prev += d_qin[..., :d]
-        d_msg_t = d_qin[..., d:]  # (B, n, n, d)
+        (dt_q, d_msg_t), q_grads = layer["q"].backward(q_c, dt)  # (B, n, n, d) each
+        dt_prev += dt_q
         (d_s2, d_s1), g_grads = layer["g"].backward(g_c, np.broadcast_to(d_msg_t[:, :, :, None], (bsz, n, n, m, d)))
         ds_prev += np.transpose(d_s2.sum(axis=1) + d_s1.sum(axis=2), (0, 2, 1, 3))  # (B, j, i) -> (B, i, j)
         ds, dt = ds_prev, dt_prev

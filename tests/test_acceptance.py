@@ -127,7 +127,7 @@ class TestCriterion6Fgnn2SeparationAndFit:
 
     def test_fast_gate_two_instance_fit(self):
         # reduced CI gate: both instances, looser target, larger step size
-        # (measured: loss below 1e-3 after 3,073 epochs at lr 1e-4)
+        # (measured: loss below 1e-3 after 3,762 epochs at lr 1e-4)
         params = nn.init_params("fgnn2", 64, 2, seed=0)
         _, curve = nn.train(
             params,

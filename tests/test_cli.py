@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from milpgnn import cli, lp, nn
 from milpgnn.cli import main
 from milpgnn.gen import counterexample_pair, gen_training_set
 from milpgnn.instance import serialize_instance
@@ -239,3 +240,64 @@ class TestOneRefinementPerCommand:
         # one WL run per instance for tractability, one joint WL run, one
         # joint 2-FWL run
         assert sorted(calls) == ["fwl", "wl", "wl", "wl"]
+
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def _qp_fails(monkeypatch):
+    monkeypatch.setattr(cli, "sb_scores", _raising(lp.LpNumericalError("active-set QP failed to converge")))
+
+
+def _training_diverges(monkeypatch):
+    monkeypatch.setattr(nn, "train", _raising(nn.DivergenceError(3)))
+
+
+# Every documented failure path: (argv, exit code, the patch that makes it
+# fail, if one is needed).  "{name}" is a file or directory under tmp_path.
+FAILURES = {
+    "bad json": (["sb-score", "{bad}"], 1, None),
+    "infeasible relaxation": (["sb-score", "{infeasible}"], 2, None),
+    "intractable verdict": (["check-tractability", "{cycle}"], 3, None),
+    "zero density": (["generate", "--family", "set-cover", "--density", "0", "--out", "{out}"], 1, None),
+    "nnz above m*n": (["generate", "--nnz", "500", "--out", "{out}"], 1, None),
+    "set cover without columns": (["generate", "--family", "set-cover", "--m", "3", "--n", "0", "--out", "{out}"], 1, None),
+    "negative size": (["generate", "--family", "set-cover", "--m", "-1", "--out", "{out}"], 1, None),
+    "zero dim": (["train", "--arch", "mpgnn", "--data", "counterexample", "--dim", "0", "--out", "{out}"], 1, None),
+    "zero layers": (["train", "--arch", "fgnn2", "--data", "counterexample", "--layers", "0", "--out", "{out}"], 1, None),
+    "qp nonconvergence": (["sb-score", "{cycle}"], 4, _qp_fails),
+    "qp nonconvergence in training data": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{out}"], 4, _qp_fails),
+    "training divergence": (["train", "--arch", "mpgnn", "--data", "{data}", "--dim", "4", "--out", "{out}"], 4, _training_diverges),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatch, tmp_path):
+    """cli.main returns the documented code without raising.  A failure puts
+    one ``error:`` line on stderr and nothing on stdout; the intractable
+    verdict is a report, not a failure."""
+    from tests_helpers import infeasible_file
+
+    argv, expected, patch = FAILURES[case]
+    cycle = tmp_path / "data" / "cycle.json"
+    cycle.parent.mkdir()
+    cycle.write_text(serialize_instance(counterexample_pair()[0]))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    paths = {"bad": bad, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent, "out": tmp_path / "out"}
+    if patch is not None:
+        patch(monkeypatch)
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == expected
+    if code == cli.EXIT_INTRACTABLE:
+        assert json.loads(captured.out)["tractable"] is False
+        assert captured.err.splitlines()[-1] == "verdict: intractable"
+    else:
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")

@@ -134,6 +134,13 @@ class TestSetCover:
         with pytest.raises(ValueError):
             gen_set_cover(0, 3, 3, 0.0)
 
+    def test_sizes_validated(self):
+        # rows with no column to cover them would be resampled forever
+        for rows, cols in [(3, 0), (-1, 3), (3, -1)]:
+            with pytest.raises(ValueError):
+                gen_set_cover(0, rows, cols, 0.5)
+        assert (gen_set_cover(0, 0, 0, 0.5).m, gen_set_cover(0, 0, 2, 0.5).n) == (0, 2)
+
 
 class TestTrainingSet:
     def test_all_relaxations_solvable(self):

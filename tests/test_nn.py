@@ -282,24 +282,29 @@ class TestAgainstOracle:
         assert np.array_equal(dx, ref_dx)
         assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
 
-    def test_mlp_two_operands_equal_the_concatenation(self):
+    def test_mlp_operands_equal_the_concatenation(self):
+        """1, 2 and 3 operands, operand k broadcast along lead axis k, against
+        the MLP on their explicit concatenation."""
         rng = np.random.default_rng(1)
-        mlp = nn.Mlp([rng.normal(size=(6, 5)), rng.normal(size=(5, 2))], [rng.normal(size=5), rng.normal(size=2)], True)
-        left = rng.normal(size=(3, 1, 4, 2))  # broadcast along axis 1
-        right = rng.normal(size=(1, 5, 4, 4))  # broadcast along axis 0
         shape = (3, 5, 4)
-        full = np.concatenate([np.broadcast_to(left, shape + (2,)), np.broadcast_to(right, shape + (4,))], axis=3)
-        dy = rng.normal(size=shape + (2,))
-        y, cache = mlp.forward(np.broadcast_to(left, shape + (2,)), np.broadcast_to(right, shape + (4,)))
-        ref_y, ref_cache = oracles.mlp_forward(mlp, full)
-        assert np.abs(y - ref_y).max() <= 1e-12 * np.abs(ref_y).max()
-        (d_left, d_right), grads = mlp.backward(cache, dy)
-        ref_dx, ref_grads = oracles.mlp_backward(mlp, ref_cache, dy)
-        ref_left = ref_dx[..., :2].sum(axis=1, keepdims=True)
-        ref_right = ref_dx[..., 2:].sum(axis=0, keepdims=True)
-        for got, ref in [(d_left, ref_left), (d_right, ref_right), *zip(grads, ref_grads)]:
-            assert got.shape == ref.shape
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for widths in [(3,), (2, 4), (1, 3, 2)]:
+            mlp = nn.Mlp([rng.normal(size=(sum(widths), 5)), rng.normal(size=(5, 2))], [rng.normal(size=5), rng.normal(size=2)], True)
+            distinct = [rng.normal(size=shape[:k] + (1,) + shape[k + 1 :] + (w,)) for k, w in enumerate(widths)]
+            operands = [np.broadcast_to(x, shape + x.shape[-1:]) for x in distinct]
+            dy = rng.normal(size=shape + (2,))
+            y, cache = mlp.forward(*operands)
+            ref_y, ref_cache = oracles.mlp_forward(mlp, np.concatenate(operands, axis=-1))
+            assert np.abs(y - ref_y).max() <= 1e-12 * np.abs(ref_y).max()
+            dx, grads = mlp.backward(cache, dy)
+            ref_dx, ref_grads = oracles.mlp_backward(mlp, ref_cache, dy)
+            ref_dxs = [part.sum(axis=k, keepdims=True) for k, part in enumerate(np.split(ref_dx, np.cumsum(widths)[:-1], axis=-1))]
+            dxs = [dx] if len(widths) == 1 else list(dx)  # a lone operand's gradient comes bare
+            assert len(dxs) == len(widths)
+            for got, ref in [*zip(dxs, ref_dxs), *zip(grads, ref_grads)]:
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        with pytest.raises(ValueError, match="total width 4 for a map of input width 6"):
+            mlp.forward(*operands[:2])
 
     @pytest.mark.parametrize("kind", ["mpgnn", "fgnn2"])
     def test_train_is_bitwise_the_per_array_adam_loop(self, kind):
