@@ -7,11 +7,19 @@ backend or the min-norm QP failed to converge, or the training loss became
 NaN).  Every failure prints one ``error:`` line to stderr.  Machine-readable
 JSON goes to stdout with 0-based indices; the human-readable partition
 summary uses 1-based indices.
+
+``train`` writes params.bin, curve.csv and curve.svg into --out together,
+after its last epoch.  With --resume it continues the run saved there: the
+saved network must match --arch, --dim and --layers, and curve.csv keeps its
+rows and gains the new ones, numbered on from them.  An --out holding
+neither file starts a fresh run; any other checkpoint is an input error
+("cannot resume: ..."), found before the data is labelled.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -125,6 +133,41 @@ def cmd_fwl2_compare(args) -> int:
     return EXIT_OK
 
 
+CURVE_HEADER = ["epoch", "loss", "lr"]
+
+
+def _write_curve_csv(curve, path, append: bool) -> None:
+    """Write curve.csv, or with ``append`` add rows to the saved one and
+    leave its bytes as they are."""
+    with open(path, "a" if append else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if not append:
+            writer.writerow(CURVE_HEADER)
+        writer.writerows(curve)
+
+
+def _read_curve_csv(path) -> list[tuple[int, float, float]]:
+    """The rows of a saved curve.csv: its header, then the rows of epochs
+    0..k-1, each ending in a line break."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise CliInputError(f"cannot resume: {path}: {exc}") from exc
+    rows = [line.split(",") for line in text.splitlines()]
+    if not rows or rows[0] != CURVE_HEADER or not text.endswith("\n"):
+        raise CliInputError(
+            f"cannot resume: {path} does not start with the line {','.join(CURVE_HEADER)} and end with a line break"
+        )
+    try:
+        curve = [(int(epoch), float(value), float(lr)) for epoch, value, lr in rows[1:]]
+    except ValueError as exc:
+        raise CliInputError(f"cannot resume: {path} has a row that is not three numbers: {exc}") from exc
+    if [row[0] for row in curve] != list(range(len(curve))):
+        raise CliInputError(f"cannot resume: {path} does not number its rows 0 to {len(curve) - 1} in order")
+    return curve
+
+
 def _write_svg(curve, path) -> None:
     """Minimal log-scale loss-curve line chart, no plotting dependency."""
     width, height, pad = 640, 400, 50
@@ -177,11 +220,47 @@ def _load_dataset(spec: str):
     return dataset
 
 
-def cmd_train(args) -> int:
+def _require_nonnegative(args, *names) -> None:
+    """A negative count or size is an input error that names its option."""
+    for name in names:
+        if getattr(args, name) < 0:
+            raise CliInputError(f"--{name} must be >= 0, got {getattr(args, name)}")
+
+
+def _resume(args, params_path, curve_path):
+    """The saved network and curve of the run to continue."""
+    for path, other in ((params_path, curve_path), (curve_path, params_path)):
+        if not os.path.exists(path):
+            raise CliInputError(f"cannot resume: {other} is there but {path} is missing")
     try:
-        params = nn.init_params(args.arch, args.dim, args.layers, args.seed)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+        params = nn.load_params(params_path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliInputError(f"cannot resume: {params_path}: {exc}") from exc
+    saved = (params.kind, params.dim, params.layers)
+    asked = (args.arch, args.dim, args.layers)
+    if saved != asked:
+        raise CliInputError(
+            "cannot resume: {} holds arch {} dim {} layers {}, but the command asks for arch {} dim {} layers {}".format(
+                params_path, *saved, *asked
+            )
+        )
+    return params, _read_curve_csv(curve_path)
+
+
+def cmd_train(args) -> int:
+    _require_nonnegative(args, "epochs")
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise CliInputError(f"--lr must be positive and finite, got {args.lr}")
+    params_path, curve_path = (os.path.join(args.out, name) for name in ("params.bin", "curve.csv"))
+    resume = args.resume and (os.path.exists(params_path) or os.path.exists(curve_path))
+    if resume:
+        params, done = _resume(args, params_path, curve_path)
+    else:
+        try:
+            params = nn.init_params(args.arch, args.dim, args.layers, args.seed)
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from exc
+        done = []
     dataset = _load_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
     cfg = nn.TrainConfig(
@@ -189,11 +268,15 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         target_loss=args.target,
     )
-    trained, curve = nn.train(params, dataset, cfg)
-    nn.write_curve_csv(curve, os.path.join(args.out, "curve.csv"))
+    try:
+        trained, curve = nn.train(params, dataset, cfg)
+    except nn.DivergenceError as exc:
+        raise nn.DivergenceError(len(done) + exc.epoch) from exc
+    curve = [(len(done) + epoch, value, lr) for epoch, value, lr in curve]
+    nn.save_params(trained, params_path)
+    _write_curve_csv(curve, curve_path, append=resume)
+    curve = done + curve
     _write_svg(curve, os.path.join(args.out, "curve.svg"))
-    nn.save_params(trained, os.path.join(args.out, "params.bin"))
-    final_loss = curve[-1][1] if curve else None
     _emit(
         {
             "arch": args.arch,
@@ -201,7 +284,7 @@ def cmd_train(args) -> int:
             "layers": args.layers,
             "seed": args.seed,
             "epochs_run": len(curve),
-            "final_loss": final_loss,
+            "final_loss": curve[-1][1] if curve else None,
             "out": args.out,
         }
     )
@@ -209,6 +292,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _require_nonnegative(args, "count", "m", "n", "nnz")
     manifest = {"family": args.family, "seeds": [], "files": [], "rejected": 0}
     try:
         if args.family == "random":
@@ -298,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--target", type=float, default=None)
     p.add_argument("--out", required=True)
+    p.add_argument("--resume", action="store_true", help="continue the run saved in --out, if there is one")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="write instance files plus a manifest")

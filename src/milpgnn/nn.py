@@ -35,11 +35,10 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-import csv
 import json
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -538,7 +537,6 @@ def train(
     params: GnnParams,
     dataset: Sequence[tuple[MilpInstance, np.ndarray]] | BatchedGraphs,
     cfg: TrainConfig,
-    on_epoch: Callable[[int, float, float], None] | None = None,
 ):
     """Full-batch Adam.  Returns (trained params, curve) where curve is a
     list of (epoch, loss, lr) rows; the loss is the pre-step value.
@@ -558,8 +556,6 @@ def train(
             raise DivergenceError(epoch)
         lr = next((rate for bound, rate in LR_DECAY if value <= bound), cfg.learning_rate)
         curve.append((epoch, value, lr))
-        if on_epoch is not None:
-            on_epoch(epoch, value, lr)
         if cfg.target_loss is not None and value <= cfg.target_loss:
             break
         t = epoch + 1
@@ -572,13 +568,6 @@ def train(
         v_state += (1.0 - ADAM_BETA2) * gr * gr
         params.theta -= lr * (m_state / bias1) / (np.sqrt(v_state / bias2) + ADAM_EPS)
     return params, curve
-
-
-def write_curve_csv(curve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "lr"])
-        writer.writerows(curve)
 
 
 # ---------------------------------------------------------------------------

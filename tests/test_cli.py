@@ -1,13 +1,15 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from milpgnn import cli, lp, nn
+from milpgnn import cli, gen, lp, nn
 from milpgnn.cli import main
 from milpgnn.gen import counterexample_pair, gen_training_set
 from milpgnn.instance import serialize_instance
+from milpgnn.sb import sb_scores
 
 
 @pytest.fixture()
@@ -188,6 +190,102 @@ class TestTrain:
         assert code == 1
 
 
+SAVED = ["train", "--arch", "mpgnn", "--data", "counterexample", "--dim", "4", "--layers", "1"]
+
+
+def _files(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+class TestResume:
+    """train --resume continues only the network it saved, and only from a
+    whole checkpoint: params.bin and a curve.csv numbered from epoch 0."""
+
+    @pytest.fixture()
+    def saved_run(self, capsys, tmp_path):
+        """A run directory holding an MP-GNN (dim 4, 1 layer) after 3 epochs."""
+        out = tmp_path / "run"
+        assert run(capsys, *SAVED, "--epochs", "3", "--out", str(out))[0] == 0
+        return out
+
+    def refused(self, capsys, monkeypatch, out, *argv) -> str:
+        """Resume with ``argv`` replacing SAVED's values; the run must stop
+        with exit 1 before the data is labelled and leave every file as it
+        was.  Returns the error line."""
+        before = _files(out)
+        monkeypatch.setattr(cli, "sb_scores", _raising(AssertionError("the data was labelled")))
+        code = main(SAVED + list(argv) + ["--epochs", "1", "--out", str(out), "--resume"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot resume: ")
+        assert _files(out) == before
+        return line
+
+    @pytest.mark.parametrize("flag,value", [("--arch", "fgnn2"), ("--dim", "8"), ("--layers", "2")])
+    def test_rejects_a_different_network(self, capsys, monkeypatch, saved_run, flag, value):
+        line = self.refused(capsys, monkeypatch, saved_run, flag, value)
+        assert "params.bin holds arch mpgnn dim 4 layers 1" in line
+
+    def test_continues_the_same_network(self, capsys, saved_run):
+        first = (saved_run / "curve.csv").read_bytes().splitlines(keepends=True)
+        saved = nn.load_params(saved_run / "params.bin")
+        code, report = run(capsys, *SAVED, "--epochs", "2", "--out", str(saved_run), "--resume")
+        assert code == 0 and report["epochs_run"] == 5
+        rows = (saved_run / "curve.csv").read_bytes().splitlines(keepends=True)
+        assert rows[:4] == first
+        assert [row.split(b",")[0] for row in rows[1:]] == [b"0", b"1", b"2", b"3", b"4"]
+        # epoch 3 starts from the saved parameters
+        dataset = [(inst, sb_scores(inst).scores) for inst in counterexample_pair()]
+        assert float(rows[4].split(b",")[1]) == nn.loss(saved, dataset)
+        assert report["final_loss"] == float(rows[5].split(b",")[1])
+        points = re.search(r'polyline points="([^"]*)"', (saved_run / "curve.svg").read_text()).group(1)
+        assert len(points.split()) == 5
+
+    def test_starts_afresh_without_a_checkpoint(self, capsys, tmp_path):
+        plain, resumed = tmp_path / "plain", tmp_path / "resumed"
+        assert run(capsys, *SAVED, "--epochs", "2", "--out", str(plain))[0] == 0
+        assert run(capsys, *SAVED, "--epochs", "2", "--out", str(resumed), "--resume")[0] == 0
+        assert _files(plain) == _files(resumed)
+
+    @pytest.mark.parametrize("missing,kept", [("params.bin", "curve.csv"), ("curve.csv", "params.bin")])
+    def test_missing_checkpoint_file_has_its_own_message(self, capsys, monkeypatch, saved_run, missing, kept):
+        (saved_run / missing).unlink()
+        line = self.refused(capsys, monkeypatch, saved_run)
+        assert line.endswith(f"{kept} is there but {saved_run / missing} is missing")
+
+    def test_unreadable_params(self, capsys, monkeypatch, saved_run):
+        path = saved_run / "params.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        assert "parameter file truncated in the arrays" in self.refused(capsys, monkeypatch, saved_run)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rows: [b"step,loss,lr\r\n"] + rows[1:], "does not start with the line epoch,loss,lr"),
+            (lambda rows: rows[:-1] + [rows[-1].rstrip()], "end with a line break"),
+            (lambda rows: rows + rows[-1:], "does not number its rows 0 to 3 in order"),
+            (lambda rows: rows[:1] + rows[2:], "does not number its rows 0 to 1 in order"),
+            (lambda rows: rows + [b"3,0.5\r\n"], "has a row that is not three numbers"),
+            (lambda rows: rows + [b"3,low,1e-05\r\n"], "has a row that is not three numbers"),
+            (lambda rows: [b"\xff\xfe\r\n"], "curve.csv"),
+        ],
+        ids=["header", "cut last line", "repeated epoch", "missing epoch", "short row", "not a number", "not text"],
+    )
+    def test_malformed_curve(self, capsys, monkeypatch, saved_run, edit, message):
+        path = saved_run / "curve.csv"
+        path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+        assert message in self.refused(capsys, monkeypatch, saved_run)
+
+    def test_divergence_names_the_epoch_of_the_run(self, capsys, monkeypatch, saved_run):
+        before = _files(saved_run)
+        monkeypatch.setattr(nn, "train", _raising(nn.DivergenceError(1)))
+        code = main(SAVED + ["--epochs", "2", "--out", str(saved_run), "--resume"])
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: loss diverged to NaN at epoch 4\n"
+        assert _files(saved_run) == before
+
+
 class TestReproduceCounterexample:
     def test_report_contents(self, capsys):
         code, report = run(capsys, "reproduce-counterexample")
@@ -258,6 +356,13 @@ def _training_diverges(monkeypatch):
     monkeypatch.setattr(nn, "train", _raising(nn.DivergenceError(3)))
 
 
+def _small_rejection_budget(monkeypatch):
+    monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 20)
+
+
+TRAIN = ["train", "--arch", "mpgnn", "--data", "counterexample", "--out", "{out}"]
+
+
 # Every documented failure path: (argv, exit code, the patch that makes it
 # fail, if one is needed).  "{name}" is a file or directory under tmp_path.
 FAILURES = {
@@ -268,6 +373,18 @@ FAILURES = {
     "nnz above m*n": (["generate", "--nnz", "500", "--out", "{out}"], 1, None),
     "set cover without columns": (["generate", "--family", "set-cover", "--m", "3", "--n", "0", "--out", "{out}"], 1, None),
     "negative size": (["generate", "--family", "set-cover", "--m", "-1", "--out", "{out}"], 1, None),
+    "negative m": (["generate", "--m", "-2", "--n", "-3", "--out", "{out}"], 1, None),
+    "negative n": (["generate", "--n", "-3", "--out", "{out}"], 1, None),
+    "negative nnz": (["generate", "--nnz", "-1", "--out", "{out}"], 1, None),
+    "negative count": (["generate", "--count", "-2", "--out", "{out}"], 1, None),
+    "rejection budget spent": (
+        ["generate", "--m", "40", "--n", "1", "--nnz", "0", "--count", "1", "--out", "{out}"], 1, _small_rejection_budget
+    ),
+    "negative epochs": (TRAIN + ["--epochs", "-3"], 1, None),
+    "zero lr": (TRAIN + ["--lr", "0"], 1, None),
+    "negative lr": (TRAIN + ["--lr", "-0.001"], 1, None),
+    "nan lr": (TRAIN + ["--lr", "nan"], 1, None),
+    "infinite lr": (TRAIN + ["--lr", "inf"], 1, None),
     "zero dim": (["train", "--arch", "mpgnn", "--data", "counterexample", "--dim", "0", "--out", "{out}"], 1, None),
     "zero layers": (["train", "--arch", "fgnn2", "--data", "counterexample", "--layers", "0", "--out", "{out}"], 1, None),
     "qp nonconvergence": (["sb-score", "{cycle}"], 4, _qp_fails),
@@ -276,11 +393,27 @@ FAILURES = {
 }
 
 
+# The option that a range failure's error line names.
+NAMED = {
+    "negative size": "--m",
+    "negative m": "--m",
+    "negative n": "--n",
+    "negative nnz": "--nnz",
+    "negative count": "--count",
+    "negative epochs": "--epochs",
+    "zero lr": "--lr",
+    "negative lr": "--lr",
+    "nan lr": "--lr",
+    "infinite lr": "--lr",
+}
+
+
 @pytest.mark.parametrize("case", FAILURES)
 def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatch, tmp_path):
     """cli.main returns the documented code without raising.  A failure puts
     one ``error:`` line on stderr and nothing on stdout; the intractable
-    verdict is a report, not a failure."""
+    verdict is a report, not a failure.  An input error is found before
+    --out is created, and a bad argument is named in the line."""
     from tests_helpers import infeasible_file
 
     argv, expected, patch = FAILURES[case]
@@ -301,3 +434,7 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
     else:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    if code == cli.EXIT_INPUT:
+        assert not paths["out"].exists()
+    if case in NAMED:
+        assert f"error: {NAMED[case]} " in captured.err

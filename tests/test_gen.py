@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from milpgnn import gen
 from milpgnn.gen import (
     PortableRng,
     counterexample_pair,
@@ -143,6 +144,22 @@ class TestSetCover:
 
 
 class TestTrainingSet:
+    def test_rejection_budget_counts_rejections_in_a_row(self, monkeypatch):
+        # seed 0 at 4x7 with 12 nonzeros: 42 rejections before the 14th
+        # acceptance, the longest run of them 7
+        monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 8)
+        insts, rejected = gen_training_set(0, 14, m=4, n=7, nnz=12)
+        assert (len(insts), rejected) == (14, 42)
+        monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 7)
+        with pytest.raises(ValueError, match=r"4x7 instances with 12 nonzeros: .* 7 draws in a row"):
+            gen_training_set(0, 14, m=4, n=7, nnz=12)
+
+    def test_hopeless_shape_stops_at_the_budget(self, monkeypatch):
+        # no nonzeros: each of the 40 rows 0 ∘ b holds with odds about 1/3
+        monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 20)
+        with pytest.raises(ValueError, match=r"40x1 instances with 0 nonzeros: .* 20 draws in a row"):
+            gen_training_set(0, 1, m=40, n=1, nnz=0)
+
     def test_all_relaxations_solvable(self):
         insts, rejected = gen_training_set(0, 20, m=3, n=6, nnz=9)
         assert len(insts) == 20

@@ -1,14 +1,13 @@
-"""No module of the package and no script imports a name it never uses, no
-module of the package defines a constant nothing reads, and every name the
-package exports exists.
+"""No module of the package imports a name it never uses or defines a
+constant nothing reads, and every name the package exports exists.
 
 No linter ships with the test dependencies, so this reads each file's syntax
 tree: every name bound by an ``import`` must be read somewhere in the file,
 or be listed in its ``__all__``.  The package's ``__init__.py`` is left out,
 since importing names there is how it re-exports them.  A module-level
 constant (an upper-case name, a leading underscore allowed) of the package
-must be read somewhere in the package or the scripts, or be listed in its
-module's ``__all__``.  Each name in the package's and each module's
+must be read somewhere in the package, or be listed in its module's
+``__all__``.  Each name in the package's and each module's
 ``__all__`` must resolve on the imported module, so a kept alias such as
 ``MilpGraph`` cannot disappear silently.
 """
@@ -22,11 +21,9 @@ import types
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "milpgnn")
 FILES = sorted(
-    os.path.join(folder, name)
-    for folder in (os.path.join(ROOT, "src", "milpgnn"), os.path.join(ROOT, "scripts"))
-    for name in os.listdir(folder)
-    if name.endswith(".py") and name != "__init__.py"
+    os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE) if name.endswith(".py") and name != "__init__.py"
 )
 
 
@@ -64,12 +61,12 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 2: Callable"]
 
 
-def unread_constants(package: dict[str, str], readers: list[str]) -> list[str]:
+def unread_constants(package: dict[str, str]) -> list[str]:
     """Module-level constants of the package (file name -> source) that no
-    source in ``package`` or ``readers`` reads, by name or as an attribute,
-    and that are not exported."""
+    source in it reads, by name or as an attribute, and that are not
+    exported."""
     read = set()
-    for source in list(package.values()) + readers:
+    for source in package.values():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -101,13 +98,8 @@ def read_all(paths) -> dict[str, str]:
 
 
 def test_every_constant_is_read():
-    package = read_all(
-        os.path.join(ROOT, "src", "milpgnn", name)
-        for name in os.listdir(os.path.join(ROOT, "src", "milpgnn"))
-        if name.endswith(".py")
-    )
-    scripts = read_all(path for path in FILES if os.path.dirname(path) == os.path.join(ROOT, "scripts"))
-    assert unread_constants(package, list(scripts.values())) == []
+    package = read_all(os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    assert unread_constants(package) == []
 
 
 def test_the_check_sees_an_unread_constant():
@@ -115,18 +107,16 @@ def test_the_check_sees_an_unread_constant():
         "a.py": "__all__ = ['EXPORTED']\nEXPORTED = 1\nUSED = 2\nUNUSED = 3\n_PRIVATE: int = 4\nlower = 5\n",
         "b.py": "from .a import USED\n",
     }
-    assert unread_constants(package, ["import a\nprint(a._PRIVATE)\n"]) == ["a.py: UNUSED"]
-    assert unread_constants(package, []) == ["a.py: UNUSED", "a.py: _PRIVATE"]
+    assert unread_constants(package) == ["a.py: UNUSED", "a.py: _PRIVATE"]
+    package["c.py"] = "from . import a\nprint(a._PRIVATE)\n"
+    assert unread_constants(package) == ["a.py: UNUSED"]
 
 
 def unresolved(module) -> list[str]:
     return [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
 
 
-MODULES = ["milpgnn"] + [
-    "milpgnn." + name[:-3] for name in sorted(os.listdir(os.path.join(ROOT, "src", "milpgnn")))
-    if name.endswith(".py") and name != "__init__.py"
-]
+MODULES = ["milpgnn"] + ["milpgnn." + os.path.basename(path)[:-3] for path in FILES]
 
 
 @pytest.mark.parametrize("name", MODULES)
