@@ -55,7 +55,7 @@ class CliInputError(Exception):
 def _load(path: str) -> MilpInstance:
     try:
         return load_instance(path)
-    except (OSError, InstanceError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, InstanceError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
@@ -227,6 +227,12 @@ def _require_nonnegative(args, *names) -> None:
             raise CliInputError(f"--{name} must be >= 0, got {getattr(args, name)}")
 
 
+def _require_out_dir(args) -> None:
+    """--out must be a directory or not exist yet; checked before any work."""
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise CliInputError(f"--out {args.out} exists and is not a directory")
+
+
 def _resume(args, params_path, curve_path):
     """The saved network and curve of the run to continue."""
     for path, other in ((params_path, curve_path), (curve_path, params_path)):
@@ -234,7 +240,7 @@ def _resume(args, params_path, curve_path):
             raise CliInputError(f"cannot resume: {other} is there but {path} is missing")
     try:
         params = nn.load_params(params_path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliInputError(f"cannot resume: {params_path}: {exc}") from exc
     saved = (params.kind, params.dim, params.layers)
     asked = (args.arch, args.dim, args.layers)
@@ -251,6 +257,7 @@ def cmd_train(args) -> int:
     _require_nonnegative(args, "epochs")
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise CliInputError(f"--lr must be positive and finite, got {args.lr}")
+    _require_out_dir(args)
     params_path, curve_path = (os.path.join(args.out, name) for name in ("params.bin", "curve.csv"))
     resume = args.resume and (os.path.exists(params_path) or os.path.exists(curve_path))
     if resume:
@@ -293,26 +300,29 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     _require_nonnegative(args, "count", "m", "n", "nnz")
-    manifest = {"family": args.family, "seeds": [], "files": [], "rejected": 0}
+    _require_out_dir(args)
+    rejected = 0
     try:
         if args.family == "random":
-            insts, manifest["rejected"] = gen_training_set(args.seed, args.count, m=args.m, n=args.n, nnz=args.nnz)
+            insts, rejected, seeds = gen_training_set(args.seed, args.count, m=args.m, n=args.n, nnz=args.nnz)
         elif args.family == "set-cover":
-            insts = [gen_set_cover(args.seed + k, args.m, args.n, args.density) for k in range(args.count)]
-        else:
+            seeds = [args.seed + k for k in range(args.count)]
+            insts = [gen_set_cover(seed, args.m, args.n, args.density) for seed in seeds]
+        else:  # the pair is fixed; its seeds only number the files
             insts = list(counterexample_pair())
+            seeds = [args.seed, args.seed + 1]
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
+    # file k is named by seeds[k], the seed that regenerates it
+    files = [f"{args.family}_{seed:06d}.json" for seed in seeds]
+    manifest = {"family": args.family, "seeds": seeds, "files": files, "rejected": rejected}
     os.makedirs(args.out, exist_ok=True)
-    for k, inst in enumerate(insts):
-        name = f"{args.family}_{args.seed + k:06d}.json"
+    for name, inst in zip(files, insts):
         with open(os.path.join(args.out, name), "w") as fh:
             fh.write(serialize_instance(inst))
-        manifest["seeds"].append(args.seed + k)
-        manifest["files"].append(name)
     with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-    _emit({"written": len(insts), "out": args.out, "rejected": manifest["rejected"]})
+    _emit({"written": len(insts), "out": args.out, "rejected": rejected})
     return EXIT_OK
 
 
@@ -327,11 +337,12 @@ def cmd_reproduce_counterexample(args) -> int:
     for k in range(100):
         d = 8 if k % 2 == 0 else 64
         params = nn.init_params("mpgnn", d, 2, seed=args.seed * 100 + k)
-        ya, yb = nn.mpgnn_batch_forward(params, pair)
+        ya, yb = nn.gnn_batch_forward(params, pair)
         max_diff = max(max_diff, float(np.abs(ya - yb).max()))
         max_spread = max(max_spread, float(np.ptp(ya)), float(np.ptp(yb)))
     fg = nn.init_params("fgnn2", 64, 2, seed=args.seed + 1)
-    fgnn_sep = float(np.abs(nn.fgnn2_forward(fg, inst_a) - nn.fgnn2_forward(fg, inst_b)).max())
+    # one forward per graph: a batch of two may round differently
+    fgnn_sep = float(np.abs(nn.gnn_forward(fg, inst_a) - nn.gnn_forward(fg, inst_b)).max())
     fwl_whole, fwl_per_column = _fwl2_verdicts(inst_a, inst_b)
     _emit(
         {

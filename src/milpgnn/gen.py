@@ -193,19 +193,20 @@ MAX_CONSECUTIVE_REJECTIONS = 10_000
 
 def gen_training_set(seed: int, count: int, m: int = 6, n: int = 20, nnz: int = 60):
     """Generate ``count`` instances whose LP relaxation is feasible and
-    bounded, rejecting and resampling the rest.  Returns (instances,
-    rejection count).  A shape that yields MAX_CONSECUTIVE_REJECTIONS
-    rejections in a row is a ValueError."""
+    bounded, rejecting and resampling the rest: draw k is gen_random(seed +
+    k).  Returns (instances, rejection count, seeds), where instance k is
+    gen_random(seeds[k], m, n, nnz).  A shape that yields
+    MAX_CONSECUTIVE_REJECTIONS rejections in a row is a ValueError."""
     from .lp import LpStatus, solve_lp
 
-    instances = []
+    instances, seeds = [], []
     rejected = run = 0
     sub_seed = seed
     while len(instances) < count:
         inst = gen_random(sub_seed, m=m, n=n, nnz=nnz)
-        sub_seed += 1
         if solve_lp(inst).status == LpStatus.OPTIMAL:
             instances.append(inst)
+            seeds.append(sub_seed)
             run = 0
         else:
             rejected += 1
@@ -215,4 +216,5 @@ def gen_training_set(seed: int, count: int, m: int = 6, n: int = 20, nnz: int = 
                     f"random {m}x{n} instances with {nnz} nonzeros: no optimal relaxation in "
                     f"{run} draws in a row, the rejection budget"
                 )
-    return instances, rejected
+        sub_seed += 1
+    return instances, rejected, seeds

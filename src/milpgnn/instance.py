@@ -233,6 +233,12 @@ def parse_instance(text: str | bytes) -> MilpInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"not UTF-8 text: {exc}") from exc
+    except RecursionError:
+        raise InstanceError("JSON nests too deeply to parse") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise InstanceError(f"unparsable number in JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("top-level JSON value must be an object")
     required = ["m", "n", "c", "b", "senses", "lower", "upper", "integer", "A"]

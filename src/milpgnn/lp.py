@@ -18,7 +18,16 @@ from scipy.optimize import linprog, lsq_linear
 
 from .instance import MilpInstance, Sense
 
-__all__ = ["LpStatus", "LpOutcome", "BoundOverride", "LpNumericalError", "solve_lp", "check_kkt", "min_norm_solution"]
+__all__ = [
+    "LpStatus",
+    "LpOutcome",
+    "BoundOverride",
+    "LpNumericalError",
+    "solve_lp",
+    "check_kkt",
+    "min_norm_solution",
+    "min_norm_kkt_residual",
+]
 
 
 class LpStatus(Enum):

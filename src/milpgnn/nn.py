@@ -8,14 +8,14 @@ hidden activations and a linear last layer, and the readout is a 2-layer MLP
 ending in a scalar.  Message terms multiply by the matrix entry, so an absent
 edge contributes exactly zero.
 
-Each architecture has one implementation, over batches of same-shape graphs
-(``mpgnn_batch_forward``, ``fgnn2_batch_forward`` and their backward
-passes).  A graph is an instance read directly: ``encode_graph`` takes its
-node features and dense A from the ``MilpInstance``.  A single graph runs as
-a batch of one.  A list of (instance, target) pairs is grouped by (m, n) in
-the order each shape first appears, one batch per shape, and loss and
-gradients are summed over the groups in that order, so accumulation is
-deterministic.
+Each architecture is one row of the ``_ARCHS`` table, keyed by
+``GnnParams.kind``: its maps' widths and its forward and backward passes
+over a batch of same-shape graphs; a single graph runs as a batch of one.
+A graph is an instance read directly: ``encode_graph`` takes its node
+features and dense A from the ``MilpInstance``.  A list of (instance,
+target) pairs is grouped by (m, n) in the order each shape first appears,
+one batch per shape, and loss and gradients are summed over the groups in
+that order, so accumulation is deterministic.
 
 Every map takes its input as operands whose concatenation is the input: p
 and q get (state, message), a readout the pooled states.  An operand may be
@@ -51,12 +51,10 @@ __all__ = [
     "init_params",
     "encode_graph",
     "mpgnn_forward",
-    "fgnn2_forward",
     "gnn_forward",
     "BatchedGraphs",
     "batch_graphs",
-    "mpgnn_batch_forward",
-    "fgnn2_batch_forward",
+    "gnn_batch_forward",
     "loss",
     "grad",
     "train",
@@ -120,9 +118,8 @@ class Mlp:
 
     def backward(self, cache, dy: np.ndarray):
         """Returns (dx, grads) with grads ordered [dW0, db0, dW1, db1, ...].
-        dx holds one input gradient per operand, summed over that operand's
-        broadcast axes (kept with length 1); a lone operand's gradient is
-        returned bare."""
+        dx is a tuple of one input gradient per operand, summed over that
+        operand's broadcast axes (kept with length 1)."""
         lead, outs, operands = cache
         d = dy.reshape(-1, dy.shape[-1])
         last = len(self.weights) - 1
@@ -143,7 +140,7 @@ class Mlp:
             dws.append(x.reshape(-1, x.shape[-1]).T @ d_x.reshape(-1, d.shape[-1]))
             dxs.append(_rows_matmul(d_x, w.T))
         grads[0] = np.concatenate(dws)
-        return (dxs[0] if len(dxs) == 1 else tuple(dxs)), grads
+        return tuple(dxs), grads
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -201,20 +198,11 @@ class GnnParams:
         return _bind(self.kind, self.dim, self.layers, self.theta.copy())
 
 
-# Input widths of each architecture's maps: the constraint encoder p0, the
-# variable encoder q0, then, as multiples of dim, the internal maps p, q, f
-# and g of every layer and the readout.
-_WIDTHS = {
-    "mpgnn": (CONS_FEATURES, VAR_FEATURES, (2, 2, 1, 1), 3),
-    "fgnn2": (CONS_FEATURES + VAR_FEATURES + 1, 2 * VAR_FEATURES + 1, (2, 2, 2, 2), 2),
-}
-
-
 def _bind(kind: str, dim: int, layers: int, theta: np.ndarray | None = None) -> GnnParams:
     """The network's maps with every weight and bias a view of theta (by
     default a new vector of zeros), laid out in flat() order: W0, b0, W1,
     b1, ... of each map in turn."""
-    cons, var, internal, readout = _WIDTHS[kind]
+    (cons, var, internal, readout), _, _ = _ARCHS[kind]
     maps = [[cons, dim], [var, dim]] + [[k * dim, dim, dim, dim] for _ in range(layers) for k in internal]
     maps.append([readout * dim, dim, 1])
     if theta is None:
@@ -239,7 +227,7 @@ def init_params(kind: str, dim: int, layers: int, seed: int) -> GnnParams:
     Each weight is drawn straight into its place in theta."""
     if dim < 1 or layers < 1:
         raise ValueError("dim and layers must be >= 1")
-    if kind not in _WIDTHS:
+    if kind not in _ARCHS:
         raise ValueError(f"unknown architecture {kind!r}")
     params = _bind(kind, dim, layers)
     rng = np.random.default_rng(seed)
@@ -300,9 +288,9 @@ def batch_graphs(pairs: Sequence[tuple[MilpInstance, np.ndarray]]) -> BatchedGra
     )
 
 
-def mpgnn_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: bool = False):
-    if params.kind != "mpgnn":
-        raise ValueError("params are not for the message-passing network")
+def _forward_mpgnn(params: GnnParams, batch: BatchedGraphs):
+    """Per-variable outputs y_j = readout(sum_i s_i, sum_j t_j, t_j) of each
+    graph in the batch, and their cache."""
     a = batch.a
     bsz, m, n = a.shape
     s, s_cache = params.p0.forward(batch.xv)  # (B, m, d)
@@ -319,13 +307,10 @@ def mpgnn_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: boo
     u = np.broadcast_to(s.sum(axis=1, keepdims=True), t.shape)
     w = np.broadcast_to(t.sum(axis=1, keepdims=True), t.shape)
     y, r_c = params.readout.forward(u, w, t)
-    y = y[..., 0]
-    if not want_cache:
-        return y
-    return y, (a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n))
+    return y[..., 0], (a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n))
 
 
-def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
+def _backward_mpgnn(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
     a, s_cache, t_cache, layer_caches, r_c, (bsz, m, n) = cache
     (du, dw, dt), r_grads = params.readout.backward(r_c, dy[..., None])
     # du and dw keep their broadcast axis, of length 1, or 0 when n = 0
@@ -335,9 +320,9 @@ def _mpgnn_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
     layer_grads = []
     for layer, (f_c, p_c, g_c, q_c) in zip(reversed(params.msg_layers), reversed(layer_caches)):
         (ds_prev, d_msg_v), p_grads = layer["p"].backward(p_c, ds)
-        dt_from_f, f_grads = layer["f"].backward(f_c, np.transpose(a, (0, 2, 1)) @ d_msg_v)
+        (dt_from_f,), f_grads = layer["f"].backward(f_c, np.transpose(a, (0, 2, 1)) @ d_msg_v)
         (dt_prev, d_msg_w), q_grads = layer["q"].backward(q_c, dt)
-        ds_from_g, g_grads = layer["g"].backward(g_c, a @ d_msg_w)
+        (ds_from_g,), g_grads = layer["g"].backward(g_c, a @ d_msg_w)
         ds, dt = ds_prev + ds_from_g, dt_prev + dt_from_f
         layer_grads.append(p_grads + q_grads + f_grads + g_grads)
 
@@ -352,23 +337,15 @@ def _flat_grads(params: GnnParams, s_cache, ds, t_cache, dt, layer_grads, r_grad
     return p0_grads + q0_grads + [g for grads in reversed(layer_grads) for g in grads] + r_grads
 
 
-def mpgnn_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
-    """Per-variable outputs y_j = readout(sum_i s_i, sum_j t_j, t_j), computed
-    as a batch of one."""
-    return mpgnn_batch_forward(params, batch_graphs([(g, np.zeros(g.n))]))[0]
-
-
 # ---------------------------------------------------------------------------
 # second-order folklore network
 
 
-def fgnn2_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: bool = False):
+def _forward_fgnn2(params: GnnParams, batch: BatchedGraphs):
     """Pair features over (constraint, variable) and (variable, variable)
     pairs of each graph in the batch; outputs y_j = readout(sum_i s_ij,
-    sum_j1 t_{j1 j}).  Every map's operands that repeat along a pair axis
-    are broadcast views of the per-node or per-pair arrays."""
-    if params.kind != "fgnn2":
-        raise ValueError("params are not for the folklore network")
+    sum_j1 t_{j1 j}), and their cache.  Every map's operands that repeat
+    along a pair axis are broadcast views of the per-node or per-pair arrays."""
     xv, xw, a = batch.xv, batch.xw, batch.a
     bsz, m, n = a.shape
     d = params.dim
@@ -404,13 +381,10 @@ def fgnn2_batch_forward(params: GnnParams, batch: BatchedGraphs, want_cache: boo
     us = s.sum(axis=1)  # (B, n, d)
     ut = t.sum(axis=1)  # (B, n, d), sums t[j1, j] over j1
     y, r_c = params.readout.forward(us, ut)
-    y = y[..., 0]
-    if not want_cache:
-        return y
-    return y, (s_cache, t_cache, layer_caches, r_c, (bsz, m, n))
+    return y[..., 0], (s_cache, t_cache, layer_caches, r_c, (bsz, m, n))
 
 
-def _fgnn2_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
+def _backward_fgnn2(params: GnnParams, cache, dy: np.ndarray) -> list[np.ndarray]:
     s_cache, t_cache, layer_caches, r_c, (bsz, m, n) = cache
     d = params.dim
     (d_us, d_ut), r_grads = params.readout.backward(r_c, dy[..., None])
@@ -435,15 +409,36 @@ def _fgnn2_batch_backward(params: GnnParams, cache, dy: np.ndarray) -> list[np.n
     return _flat_grads(params, s_cache, ds, t_cache, dt, layer_grads, r_grads)
 
 
-def fgnn2_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
-    """Per-variable 2-FGNN outputs for one graph, computed as a batch of one."""
-    return fgnn2_batch_forward(params, batch_graphs([(g, np.zeros(g.n))]))[0]
+# ---------------------------------------------------------------------------
+# one table of architectures
+
+# kind -> (input widths of the maps, batched forward, batched backward).  The
+# widths are those of p0 and q0, then, as multiples of dim, those of every
+# layer's internal maps p, q, f and g and of the readout.  A forward maps
+# (params, batch) to (outputs (B, n), cache), and a backward maps (params,
+# cache, d outputs) to the gradients in flat() order.
+_ARCHS = {
+    "mpgnn": ((CONS_FEATURES, VAR_FEATURES, (2, 2, 1, 1), 3), _forward_mpgnn, _backward_mpgnn),
+    "fgnn2": ((CONS_FEATURES + VAR_FEATURES + 1, 2 * VAR_FEATURES + 1, (2, 2, 2, 2), 2), _forward_fgnn2, _backward_fgnn2),
+}
+
+
+def gnn_batch_forward(params: GnnParams, batch: BatchedGraphs) -> np.ndarray:
+    """Per-variable outputs (B, n) of every graph in a same-shape batch."""
+    _, forward, _ = _ARCHS[params.kind]
+    return forward(params, batch)[0]
 
 
 def gnn_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
-    if params.kind == "mpgnn":
-        return mpgnn_forward(params, g)
-    return fgnn2_forward(params, g)
+    """Per-variable outputs of one graph, computed as a batch of one."""
+    return gnn_batch_forward(params, batch_graphs([(g, np.zeros(g.n))]))[0]
+
+
+def mpgnn_forward(params: GnnParams, g: MilpInstance) -> np.ndarray:
+    """gnn_forward for message-passing parameters; any other kind is a ValueError."""
+    if params.kind != "mpgnn":
+        raise ValueError("params are not for the message-passing network")
+    return gnn_forward(params, g)
 
 
 # ---------------------------------------------------------------------------
@@ -466,29 +461,14 @@ def _shape_batches(dataset) -> list[BatchedGraphs]:
     return [batch_graphs(group) for group in groups.values()]
 
 
-def _kernels(params: GnnParams):
-    """(batched forward, batched backward) of the network's architecture."""
-    if params.kind == "mpgnn":
-        return mpgnn_batch_forward, _mpgnn_batch_backward
-    return fgnn2_batch_forward, _fgnn2_batch_backward
-
-
 def loss(params: GnnParams, dataset) -> float:
     """0.5 * sum over the dataset of the squared output error.  The dataset
     is a list of (instance, target) pairs or a BatchedGraphs."""
-    forward, _ = _kernels(params)
     total = 0.0
     for batch in _shape_batches(dataset):
-        err = forward(params, batch) - batch.targets
+        err = gnn_batch_forward(params, batch) - batch.targets
         total += 0.5 * float((err * err).sum())
     return total
-
-
-def _piece(params: GnnParams, batch: BatchedGraphs) -> tuple[float, list[np.ndarray]]:
-    forward, backward = _kernels(params)
-    y, cache = forward(params, batch, want_cache=True)
-    err = y - batch.targets
-    return 0.5 * float((err * err).sum()), backward(params, cache, err)
 
 
 def grad(params: GnnParams, dataset):
@@ -497,10 +477,14 @@ def grad(params: GnnParams, dataset):
     A list of pairs is grouped by shape in first-appearance order and the
     loss and gradients are summed over the groups in that order, so results
     are bitwise reproducible."""
+    _, forward, backward = _ARCHS[params.kind]
     total = 0.0
     acc: list[np.ndarray] | None = None
-    for value, gs in (_piece(params, batch) for batch in _shape_batches(dataset)):
-        total += value
+    for batch in _shape_batches(dataset):
+        y, cache = forward(params, batch)
+        err = y - batch.targets
+        total += 0.5 * float((err * err).sum())
+        gs = backward(params, cache, err)
         if acc is None:
             acc = gs
         else:
@@ -598,14 +582,28 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 
 def load_params(path) -> GnnParams:
-    """Inverse of save_params.  A short file, a header that does not match
-    the architecture, and bytes after the last array are ValueErrors."""
+    """Inverse of save_params.  A short file, a header that is not a network
+    of a known architecture, shapes that do not match it, and bytes after
+    the last array are ValueErrors; a bad header field is named."""
     with open(path, "rb") as fh:
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "the header length"))
-        header = json.loads(_read_exact(fh, hlen, "the header"))
-        params = init_params(header["kind"], header["dim"], header["layers"], seed=0)
+        try:
+            header = json.loads(_read_exact(fh, hlen, "the header"))
+        except RecursionError:
+            raise ValueError("parameter header nests too deeply") from None
+        if not isinstance(header, dict):
+            raise ValueError("parameter header is not a JSON object")
+        for field in ("kind", "dim", "layers", "shapes"):
+            if field not in header:
+                raise ValueError(f"parameter header has no field {field!r}")
+        if not isinstance(header["kind"], str) or header["kind"] not in _ARCHS:
+            raise ValueError(f"parameter header field 'kind' is not an architecture: {header['kind']!r}")
+        for field in ("dim", "layers"):
+            if type(header[field]) is not int or header[field] < 1:
+                raise ValueError(f"parameter header field {field!r} is not an integer >= 1: {header[field]!r}")
+        params = _bind(header["kind"], header["dim"], header["layers"])
         if header["shapes"] != [list(a.shape) for a in params.flat()]:
-            raise ValueError("shape header does not match the architecture")
+            raise ValueError("parameter header field 'shapes' does not match the architecture")
         raw = _read_exact(fh, 8 * params.theta.size, "the arrays")
         params.theta[...] = np.frombuffer(raw, dtype="<f8")
         if fh.read(1):

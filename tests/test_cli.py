@@ -7,7 +7,7 @@ import pytest
 
 from milpgnn import cli, gen, lp, nn
 from milpgnn.cli import main
-from milpgnn.gen import counterexample_pair, gen_training_set
+from milpgnn.gen import counterexample_pair, gen_random, gen_training_set
 from milpgnn.instance import serialize_instance
 from milpgnn.sb import sb_scores
 
@@ -139,6 +139,17 @@ class TestGenerate:
         assert len(manifest["files"]) == 3
         for name in manifest["files"]:
             assert (out / name).exists()
+
+    def test_manifest_seeds_regenerate_their_files(self, capsys, tmp_path):
+        # seed 0 at the default 6x20 size rejects 3 of its first 9 draws
+        out = tmp_path / "data"
+        code, report = run(capsys, "generate", "--count", "6", "--seed", "0", "--out", str(out))
+        assert code == 0 and report["rejected"] == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(manifest["seeds"]) == 6
+        for seed, name in zip(manifest["seeds"], manifest["files"]):
+            assert name == f"random_{seed:06d}.json"
+            assert (out / name).read_text() == serialize_instance(gen_random(seed))
 
     def test_generation_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -367,6 +378,8 @@ TRAIN = ["train", "--arch", "mpgnn", "--data", "counterexample", "--out", "{out}
 # fail, if one is needed).  "{name}" is a file or directory under tmp_path.
 FAILURES = {
     "bad json": (["sb-score", "{bad}"], 1, None),
+    "instance not utf-8": (["check-tractability", "{latin1}"], 1, None),
+    "instance nested too deeply": (["check-tractability", "{deep}"], 1, None),
     "infeasible relaxation": (["sb-score", "{infeasible}"], 2, None),
     "intractable verdict": (["check-tractability", "{cycle}"], 3, None),
     "zero density": (["generate", "--family", "set-cover", "--density", "0", "--out", "{out}"], 1, None),
@@ -377,6 +390,7 @@ FAILURES = {
     "negative n": (["generate", "--n", "-3", "--out", "{out}"], 1, None),
     "negative nnz": (["generate", "--nnz", "-1", "--out", "{out}"], 1, None),
     "negative count": (["generate", "--count", "-2", "--out", "{out}"], 1, None),
+    "generate into a file": (["generate", "--count", "1", "--out", "{bad}"], 1, None),
     "rejection budget spent": (
         ["generate", "--m", "40", "--n", "1", "--nnz", "0", "--count", "1", "--out", "{out}"], 1, _small_rejection_budget
     ),
@@ -385,6 +399,8 @@ FAILURES = {
     "negative lr": (TRAIN + ["--lr", "-0.001"], 1, None),
     "nan lr": (TRAIN + ["--lr", "nan"], 1, None),
     "infinite lr": (TRAIN + ["--lr", "inf"], 1, None),
+    # labelling would exit 4, so exit 1 shows --out is checked first
+    "train into a file": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{bad}"], 1, _qp_fails),
     "zero dim": (["train", "--arch", "mpgnn", "--data", "counterexample", "--dim", "0", "--out", "{out}"], 1, None),
     "zero layers": (["train", "--arch", "fgnn2", "--data", "counterexample", "--layers", "0", "--out", "{out}"], 1, None),
     "qp nonconvergence": (["sb-score", "{cycle}"], 4, _qp_fails),
@@ -405,6 +421,8 @@ NAMED = {
     "negative lr": "--lr",
     "nan lr": "--lr",
     "infinite lr": "--lr",
+    "generate into a file": "--out",
+    "train into a file": "--out",
 }
 
 
@@ -422,7 +440,10 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
     cycle.write_text(serialize_instance(counterexample_pair()[0]))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    paths = {"bad": bad, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent, "out": tmp_path / "out"}
+    latin1, deep = tmp_path / "latin1.json", tmp_path / "deep.json"
+    latin1.write_bytes(b"\x80")
+    deep.write_text("[" * 100_000)
+    paths = {"bad": bad, "latin1": latin1, "deep": deep, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent, "out": tmp_path / "out"}
     if patch is not None:
         patch(monkeypatch)
     code = main([arg.format(**paths) for arg in argv])
@@ -436,5 +457,6 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     if code == cli.EXIT_INPUT:
         assert not paths["out"].exists()
+        assert bad.read_text() == "{not json"
     if case in NAMED:
         assert f"error: {NAMED[case]} " in captured.err

@@ -148,8 +148,11 @@ class TestTrainingSet:
         # seed 0 at 4x7 with 12 nonzeros: 42 rejections before the 14th
         # acceptance, the longest run of them 7
         monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 8)
-        insts, rejected = gen_training_set(0, 14, m=4, n=7, nnz=12)
+        insts, rejected, seeds = gen_training_set(0, 14, m=4, n=7, nnz=12)
         assert (len(insts), rejected) == (14, 42)
+        # each accepted draw's seed regenerates it
+        assert seeds[-1] == 14 + 42 - 1
+        assert [gen_random(seed, m=4, n=7, nnz=12) for seed in seeds] == insts
         monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 7)
         with pytest.raises(ValueError, match=r"4x7 instances with 12 nonzeros: .* 7 draws in a row"):
             gen_training_set(0, 14, m=4, n=7, nnz=12)
@@ -161,7 +164,7 @@ class TestTrainingSet:
             gen_training_set(0, 1, m=40, n=1, nnz=0)
 
     def test_all_relaxations_solvable(self):
-        insts, rejected = gen_training_set(0, 20, m=3, n=6, nnz=9)
+        insts, rejected, _ = gen_training_set(0, 20, m=3, n=6, nnz=9)
         assert len(insts) == 20
         assert rejected >= 0
         for inst in insts:
@@ -170,6 +173,6 @@ class TestTrainingSet:
     def test_mostly_tractable(self):
         from milpgnn.wl import is_mp_tractable
 
-        insts, _ = gen_training_set(0, 100)
+        insts, _, _ = gen_training_set(0, 100)
         tractable = sum(1 for inst in insts if is_mp_tractable(inst)[0])
         assert tractable >= 99

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses or defines a
-constant nothing reads, and every name the package exports exists.
+"""No module of the package imports a name it never uses, defines a
+constant nothing reads or a function nothing calls, and every name the
+package exports exists.
 
 No linter ships with the test dependencies, so this reads each file's syntax
 tree: every name bound by an ``import`` must be read somewhere in the file,
@@ -7,7 +8,8 @@ or be listed in its ``__all__``.  The package's ``__init__.py`` is left out,
 since importing names there is how it re-exports them.  A module-level
 constant (an upper-case name, a leading underscore allowed) of the package
 must be read somewhere in the package, or be listed in its module's
-``__all__``.  Each name in the package's and each module's
+``__all__``; so must a module-level function or class, read outside its own
+definition.  Each name in the package's and each module's
 ``__all__`` must resolve on the imported module, so a kept alias such as
 ``MilpGraph`` cannot disappear silently.
 """
@@ -61,19 +63,26 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 2: Callable"]
 
 
-def unread_constants(package: dict[str, str]) -> list[str]:
-    """Module-level constants of the package (file name -> source) that no
-    source in it reads, by name or as an attribute, and that are not
-    exported."""
+def names_read(nodes) -> set[str]:
+    """Every name the syntax trees read: by name, as an attribute, or in a
+    ``from`` import."""
     read = set()
-    for source in package.values():
-        for node in ast.walk(ast.parse(source)):
+    for tree in nodes:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_constants(package: dict[str, str]) -> list[str]:
+    """Module-level constants of the package (file name -> source) that no
+    source in it reads, by name or as an attribute, and that are not
+    exported."""
+    read = names_read(ast.parse(source) for source in package.values())
     unread = []
     for name, source in package.items():
         tree = ast.parse(source)
@@ -87,6 +96,24 @@ def unread_constants(package: dict[str, str]) -> list[str]:
                 ):
                     unread.append(f"{name}: {target.id}")
     return sorted(unread)
+
+
+def unreferenced_functions(package: dict[str, str]) -> list[str]:
+    """Module-level functions and classes of the package (file name ->
+    source) that no source in it reads outside their own definition, and
+    that are not exported."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    reads = [(node, names_read([node])) for tree in trees.values() for node in tree.body]
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name not in exported(tree)
+                and not any(node.name in read for other, read in reads if other is not node)
+            ):
+                unreferenced.append(f"{name}: {node.name}")
+    return sorted(unreferenced)
 
 
 def read_all(paths) -> dict[str, str]:
@@ -110,6 +137,30 @@ def test_the_check_sees_an_unread_constant():
     assert unread_constants(package) == ["a.py: UNUSED", "a.py: _PRIVATE"]
     package["c.py"] = "from . import a\nprint(a._PRIVATE)\n"
     assert unread_constants(package) == ["a.py: UNUSED"]
+
+
+def test_every_function_is_referenced():
+    package = read_all(os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE) if name.endswith(".py"))
+    assert unreferenced_functions(package) == []
+
+
+def test_the_check_sees_an_unreferenced_function():
+    package = {
+        "a.py": (
+            "__all__ = ['api']\n"
+            "def api():\n    return _used()\n"
+            "def _used():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def _dead():\n    pass\n"
+            "class _Unused:\n    pass\n"
+            "def imported():\n    pass\n"
+            "def by_attribute():\n    pass\n"
+        ),
+        "b.py": "from .a import imported\n",
+    }
+    assert unreferenced_functions(package) == ["a.py: _Unused", "a.py: _dead", "a.py: _recursive", "a.py: by_attribute"]
+    package["c.py"] = "from . import a\na.by_attribute()\n"
+    assert unreferenced_functions(package) == ["a.py: _Unused", "a.py: _dead", "a.py: _recursive"]
 
 
 def unresolved(module) -> list[str]:

@@ -225,6 +225,31 @@ class TestWrongJsonTypes:
             parse_instance(tiny_json(integer=3))
 
 
+class TestUnparsableText:
+    """Text that the JSON reader cannot take in, however it fails, is an
+    InstanceError with its own message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(st.binary(max_size=64), st.text(max_size=64).map(str.encode)))
+    def test_arbitrary_bytes_raise_only_instance_errors(self, raw):
+        try:
+            parse_instance(raw)
+        except InstanceError:
+            pass
+
+    def test_non_utf8_rejected(self):
+        with pytest.raises(InstanceError, match="not UTF-8 text"):
+            parse_instance(b"\x80")
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(InstanceError, match="nests too deeply"):
+            parse_instance(b"[" * 100_000)
+
+    def test_integer_past_the_digit_limit_rejected(self):
+        with pytest.raises(InstanceError, match="unparsable number"):
+            parse_instance('{"m": ' + "1" * 5000 + "}")
+
+
 class TestGraph:
     def test_build_graph_is_the_instance(self):
         inst = tiny()

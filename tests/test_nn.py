@@ -1,4 +1,7 @@
 import hashlib
+import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -76,7 +79,7 @@ class TestForward:
         seps = []
         for seed in range(20):
             params = nn.init_params("fgnn2", 64, 2, seed=seed)
-            seps.append(np.abs(nn.fgnn2_forward(params, g1) - nn.fgnn2_forward(params, g2)).max())
+            seps.append(np.abs(nn.gnn_forward(params, g1) - nn.gnn_forward(params, g2)).max())
         assert max(seps) > 1e-9
 
     def test_forward_is_deterministic(self):
@@ -183,7 +186,7 @@ class TestShapeGrouping:
         dataset = mixed_shape_dataset()
         params = nn.init_params("mpgnn", 8, 2, seed=4)
         batch = nn.batch_graphs([dataset[0], dataset[2]])
-        rows = nn.mpgnn_batch_forward(params, batch)
+        rows = nn.gnn_batch_forward(params, batch)
         for row, (g, _) in zip(rows, (dataset[0], dataset[2])):
             assert np.abs(nn.mpgnn_forward(params, g) - row).max() <= 1e-12 * max(1.0, float(np.abs(row).max()))
 
@@ -260,7 +263,7 @@ class TestAgainstOracle:
     def test_fgnn2_forward_matches(self):
         params = nn.init_params("fgnn2", 8, 2, seed=4)
         for g, _ in fgnn2_oracle_datasets()["mixed"]:
-            y = nn.fgnn2_forward(params, g)
+            y = nn.gnn_forward(params, g)
             ref = oracles.fgnn2_forward(params, g)[0]
             assert np.abs(y - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
 
@@ -277,7 +280,7 @@ class TestAgainstOracle:
         y, cache = mlp.forward(x)
         ref_y, ref_cache = oracles.mlp_forward(mlp, x)
         assert np.array_equal(y, ref_y)
-        dx, grads = mlp.backward(cache, dy)
+        (dx,), grads = mlp.backward(cache, dy)
         ref_dx, ref_grads = oracles.mlp_backward(mlp, ref_cache, dy)
         assert np.array_equal(dx, ref_dx)
         assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
@@ -295,10 +298,9 @@ class TestAgainstOracle:
             y, cache = mlp.forward(*operands)
             ref_y, ref_cache = oracles.mlp_forward(mlp, np.concatenate(operands, axis=-1))
             assert np.abs(y - ref_y).max() <= 1e-12 * np.abs(ref_y).max()
-            dx, grads = mlp.backward(cache, dy)
+            dxs, grads = mlp.backward(cache, dy)
             ref_dx, ref_grads = oracles.mlp_backward(mlp, ref_cache, dy)
             ref_dxs = [part.sum(axis=k, keepdims=True) for k, part in enumerate(np.split(ref_dx, np.cumsum(widths)[:-1], axis=-1))]
-            dxs = [dx] if len(widths) == 1 else list(dx)  # a lone operand's gradient comes bare
             assert len(dxs) == len(widths)
             for got, ref in [*zip(dxs, ref_dxs), *zip(grads, ref_grads)]:
                 assert got.shape == ref.shape
@@ -362,6 +364,29 @@ class TestSerialization:
         raw = path.read_bytes()
         path.write_bytes(raw[:-12])
         with pytest.raises(ValueError, match="truncated"):
+            nn.load_params(path)
+
+    @pytest.mark.parametrize(
+        "header,field",
+        [
+            pytest.param({"kind": "mpgnn", "layers": 1, "shapes": []}, "'dim'", id="no dim"),
+            pytest.param(["mpgnn", 4, 1], "not a JSON object", id="list"),
+            pytest.param({"kind": "mpgnn", "dim": "4", "layers": 1, "shapes": []}, "'dim'", id="string dim"),
+            pytest.param({"kind": "mpgnn", "dim": 4.5, "layers": 1, "shapes": []}, "'dim'", id="fractional dim"),
+            pytest.param({"kind": "mpgnn", "dim": 0, "layers": 1, "shapes": []}, "'dim'", id="zero dim"),
+            pytest.param({"kind": "mpgnn", "dim": 4, "layers": True, "shapes": []}, "'layers'", id="boolean layers"),
+            pytest.param({"kind": "gcn", "dim": 4, "layers": 1, "shapes": []}, "'kind'", id="unknown kind"),
+            pytest.param({"kind": ["mpgnn"], "dim": 4, "layers": 1, "shapes": []}, "'kind'", id="list kind"),
+            pytest.param({"kind": "mpgnn", "dim": 4, "layers": 1, "shapes": [[4, 4]]}, "'shapes'", id="wrong shapes"),
+            pytest.param({"kind": "mpgnn", "dim": 4, "layers": 1}, "'shapes'", id="no shapes"),
+            pytest.param("[" * 100_000, "nests too deeply", id="deep nesting"),
+        ],
+    )
+    def test_bad_header_is_a_value_error_naming_it(self, tmp_path, header, field):
+        path = tmp_path / "params.bin"
+        blob = (header if isinstance(header, str) else json.dumps(header)).encode()
+        path.write_bytes(struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(ValueError, match=re.escape(field)):
             nn.load_params(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
