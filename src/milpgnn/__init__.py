@@ -14,8 +14,8 @@ from .instance import (
 )
 from .lp import BoundOverride, LpOutcome, LpStatus, min_norm_solution, solve_lp
 from .sb import PRODUCT_RULE, SbScores, ScoreRule, sb_scores
-from .wl import is_mp_tractable, stable_partition, wl_indistinguishable, wl_refine
-from .fwl import fwl2_indistinguishable, fwl2_indistinguishable_W, fwl2_refine, fwl2_stable
+from .wl import is_mp_tractable, stable_partition, wl_indistinguishable
+from .fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
 from .gen import PortableRng, counterexample_pair, gen_random, gen_set_cover, gen_training_set
 
 __all__ = [
@@ -40,11 +40,8 @@ __all__ = [
     "is_mp_tractable",
     "stable_partition",
     "wl_indistinguishable",
-    "wl_refine",
     "fwl2_indistinguishable",
     "fwl2_indistinguishable_W",
-    "fwl2_refine",
-    "fwl2_stable",
     "PortableRng",
     "counterexample_pair",
     "gen_random",

@@ -228,9 +228,12 @@ def _require_nonnegative(args, *names) -> None:
 
 
 def _require_out_dir(args) -> None:
-    """--out must be a directory or not exist yet; checked before any work."""
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise CliInputError(f"--out {args.out} exists and is not a directory")
+    """--out, or its nearest existing ancestor, is a directory; checked before any work."""
+    path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise CliInputError(f"--out {args.out}: {path} exists and is not a directory")
 
 
 def _resume(args, params_path, curve_path):
@@ -254,7 +257,7 @@ def _resume(args, params_path, curve_path):
 
 
 def cmd_train(args) -> int:
-    _require_nonnegative(args, "epochs")
+    _require_nonnegative(args, "epochs", "seed")
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise CliInputError(f"--lr must be positive and finite, got {args.lr}")
     _require_out_dir(args)
@@ -327,6 +330,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reproduce_counterexample(args) -> int:
+    _require_nonnegative(args, "seed")
     inst_a, inst_b = counterexample_pair()
     sa, sb = sb_scores(inst_a), sb_scores(inst_b)
     tract_a, _ = is_mp_tractable(inst_a)
@@ -365,8 +369,15 @@ def cmd_reproduce_counterexample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are input errors (exit 1), not a usage block and exit 2."""
+
+    def error(self, message):
+        raise CliInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="milpgnn", description=__doc__)
+    ap = _Parser(prog="milpgnn", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-tractability", help="stable partition and block-constancy verdict")
@@ -415,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

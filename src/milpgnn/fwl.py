@@ -12,32 +12,15 @@ the two pair kinds never overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .instance import MilpInstance
 from .wl import _disjoint, _fixpoint, _ids, _node_keys
 
 __all__ = [
-    "PairColoring",
-    "fwl2_refine",
     "fwl2_indistinguishable",
     "fwl2_indistinguishable_W",
 ]
-
-
-@dataclass(frozen=True)
-class PairColoring:
-    """Dense pair colors after a fixed number of rounds: colors_vw[i, j] for
-    (constraint i, variable j), colors_ww[j1, j2] for variable pairs."""
-
-    round: int
-    colors_vw: np.ndarray
-    colors_ww: np.ndarray
-
-    def class_count(self) -> int:
-        return np.unique(np.concatenate([self.colors_vw.ravel(), self.colors_ww.ravel()])).size
 
 
 def _initial(graphs: list[MilpInstance]):
@@ -74,24 +57,6 @@ def _refine_once(colorings):
 
 def _refine_to_stability(graphs: list[MilpInstance]):
     return _fixpoint(_initial(graphs), _refine_once)
-
-
-def fwl2_refine(g: MilpInstance, rounds: int) -> PairColoring:
-    """Run exactly ``rounds`` pair-refinement rounds on one graph."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    colorings = _initial([g])
-    for _ in range(rounds):
-        colorings = _refine_once(colorings)
-    vw, ww = colorings[0]
-    return PairColoring(round=rounds, colors_vw=vw, colors_ww=ww)
-
-
-def fwl2_stable(g: MilpInstance) -> PairColoring:
-    """Refine until the pair partition stops changing."""
-    colorings, rounds = _refine_to_stability([g])
-    vw, ww = colorings[0]
-    return PairColoring(round=rounds, colors_vw=vw, colors_ww=ww)
 
 
 def fwl2_indistinguishable_W(g1: MilpInstance, g2: MilpInstance) -> bool:

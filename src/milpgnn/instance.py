@@ -26,6 +26,7 @@ __all__ = [
     "MilpGraph",
     "InstanceError",
     "build_graph",
+    "load_instance",
     "parse_instance",
     "serialize_instance",
     "permute",

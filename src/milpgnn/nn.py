@@ -36,6 +36,8 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -198,24 +200,27 @@ class GnnParams:
         return _bind(self.kind, self.dim, self.layers, self.theta.copy())
 
 
+def _shapes(kind: str, dim: int, layers: int) -> list[list[list[int]]]:
+    """Per map, in the order of mlps(), the shapes of its W0, b0, W1, b1, ..."""
+    (cons, var, internal, readout), _, _ = _ARCHS[kind]
+    maps = [[cons, dim], [var, dim]] + [[k * dim, dim, dim, dim] for _ in range(layers) for k in internal]
+    return [[s for a, b in zip(dims[:-1], dims[1:]) for s in ([a, b], [b])] for dims in maps + [[readout * dim, dim, 1]]]
+
+
 def _bind(kind: str, dim: int, layers: int, theta: np.ndarray | None = None) -> GnnParams:
     """The network's maps with every weight and bias a view of theta (by
     default a new vector of zeros), laid out in flat() order: W0, b0, W1,
     b1, ... of each map in turn."""
-    (cons, var, internal, readout), _, _ = _ARCHS[kind]
-    maps = [[cons, dim], [var, dim]] + [[k * dim, dim, dim, dim] for _ in range(layers) for k in internal]
-    maps.append([readout * dim, dim, 1])
+    maps = _shapes(kind, dim, layers)
     if theta is None:
-        theta = np.zeros(sum(a * b + b for dims in maps for a, b in zip(dims[:-1], dims[1:])))
+        theta = np.zeros(sum(math.prod(shape) for shapes in maps for shape in shapes))
     mlps, offset = [], 0
-    for dims in maps:
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-            offset += fan_in * fan_out
-            biases.append(theta[offset : offset + fan_out])
-            offset += fan_out
-        mlps.append(Mlp(weights, biases, output_relu=True))
+    for shapes in maps:
+        arrays = []
+        for shape in shapes:
+            arrays.append(theta[offset : offset + math.prod(shape)].reshape(shape))
+            offset += math.prod(shape)
+        mlps.append(Mlp(arrays[0::2], arrays[1::2], output_relu=True))
     readout = mlps.pop()
     readout.output_relu = False  # the scalar readout ends linearly
     msg_layers = [dict(zip("pqfg", mlps[k : k + 4])) for k in range(2, len(mlps), 4)]
@@ -575,10 +580,11 @@ def save_params(params: GnnParams, path) -> None:
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ValueError(f"parameter file truncated in {what}: expected {size} bytes, found {len(raw)}")
-    return raw
+    """The next ``size`` bytes, read only if the file holds them."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < size:
+        raise ValueError(f"parameter file truncated in {what}: expected {size} bytes, found {left}")
+    return fh.read(size)
 
 
 def load_params(path) -> GnnParams:
@@ -601,11 +607,10 @@ def load_params(path) -> GnnParams:
         for field in ("dim", "layers"):
             if type(header[field]) is not int or header[field] < 1:
                 raise ValueError(f"parameter header field {field!r} is not an integer >= 1: {header[field]!r}")
-        params = _bind(header["kind"], header["dim"], header["layers"])
-        if header["shapes"] != [list(a.shape) for a in params.flat()]:
+        shapes = sum(_shapes(header["kind"], header["dim"], header["layers"]), [])
+        if header["shapes"] != shapes:
             raise ValueError("parameter header field 'shapes' does not match the architecture")
-        raw = _read_exact(fh, 8 * params.theta.size, "the arrays")
-        params.theta[...] = np.frombuffer(raw, dtype="<f8")
+        raw = _read_exact(fh, 8 * sum(math.prod(s) for s in shapes), "the arrays")
         if fh.read(1):
             raise ValueError("parameter file has trailing bytes after the last array")
-    return params
+    return _bind(header["kind"], header["dim"], header["layers"], np.frombuffer(raw, dtype="<f8").astype(np.float64))

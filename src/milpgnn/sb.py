@@ -19,6 +19,7 @@ from .lp import BoundOverride, LpStatus, min_norm_solution, solve_lp
 __all__ = [
     "SbScores",
     "ScoreRule",
+    "PRODUCT_RULE",
     "RelaxationInfeasibleError",
     "RelaxationUnboundedError",
     "sb_scores",

@@ -22,26 +22,11 @@ import numpy as np
 from .instance import MilpInstance
 
 __all__ = [
-    "Coloring",
     "StablePartition",
-    "wl_refine",
     "stable_partition",
     "is_mp_tractable",
     "wl_indistinguishable",
 ]
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Colors after a fixed number of refinement rounds; ids are dense
-    integers, equal id within a round iff equal refinement signature."""
-
-    round: int
-    colors_v: tuple[int, ...]
-    colors_w: tuple[int, ...]
-
-    def partition(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        return _group(self.colors_v), _group(self.colors_w)
 
 
 @dataclass(frozen=True)
@@ -149,17 +134,6 @@ def _refiner(graphs: list[MilpInstance]):
 
 def _refine_to_stability(graphs: list[MilpInstance]):
     return _fixpoint(*_refiner(graphs))
-
-
-def wl_refine(g: MilpInstance, rounds: int) -> Coloring:
-    """Run exactly ``rounds`` refinement rounds; round 0 is features only."""
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    colorings, refine_once = _refiner([g])
-    for _ in range(rounds):
-        colorings = refine_once(colorings)
-    cv, cw = colorings[0]
-    return Coloring(round=rounds, colors_v=tuple(cv.tolist()), colors_w=tuple(cw.tolist()))
 
 
 def stable_partition(g: MilpInstance) -> StablePartition:

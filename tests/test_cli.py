@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -270,6 +271,12 @@ class TestResume:
         path.write_bytes(path.read_bytes()[:-8])
         assert "parameter file truncated in the arrays" in self.refused(capsys, monkeypatch, saved_run)
 
+    def test_params_header_of_a_huge_network(self, capsys, monkeypatch, saved_run):
+        # the header is checked against the architecture before theta exists
+        blob = json.dumps({"kind": "mpgnn", "dim": 1_000_000, "layers": 1, "shapes": []}).encode()
+        (saved_run / "params.bin").write_bytes(struct.pack("<I", len(blob)) + blob)
+        assert "field 'shapes' does not match" in self.refused(capsys, monkeypatch, saved_run)
+
     @pytest.mark.parametrize(
         "edit,message",
         [
@@ -351,6 +358,12 @@ class TestOneRefinementPerCommand:
         assert sorted(calls) == ["fwl", "wl", "wl", "wl"]
 
 
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--resume" in capsys.readouterr().out
+
 
 def _raising(exc):
     def fail(*args, **kwargs):
@@ -391,6 +404,7 @@ FAILURES = {
     "negative nnz": (["generate", "--nnz", "-1", "--out", "{out}"], 1, None),
     "negative count": (["generate", "--count", "-2", "--out", "{out}"], 1, None),
     "generate into a file": (["generate", "--count", "1", "--out", "{bad}"], 1, None),
+    "generate below a file": (["generate", "--count", "1", "--m", "3", "--n", "6", "--nnz", "9", "--out", "{bad}/sub"], 1, None),
     "rejection budget spent": (
         ["generate", "--m", "40", "--n", "1", "--nnz", "0", "--count", "1", "--out", "{out}"], 1, _small_rejection_budget
     ),
@@ -401,6 +415,14 @@ FAILURES = {
     "infinite lr": (TRAIN + ["--lr", "inf"], 1, None),
     # labelling would exit 4, so exit 1 shows --out is checked first
     "train into a file": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{bad}"], 1, _qp_fails),
+    "train below a file": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{bad}/sub"], 1, _qp_fails),
+    "negative seed in training": (TRAIN + ["--seed", "-1"], 1, None),
+    "negative seed in reproduction": (["reproduce-counterexample", "--seed", "-1"], 1, None),
+    # argparse's own errors are input errors too, not its usage block and exit 2
+    "dim not an integer": (TRAIN + ["--dim", "abc"], 1, None),
+    "count not an integer": (["generate", "--count", "x", "--out", "{out}"], 1, None),
+    "sb-score without an instance": (["sb-score"], 1, None),
+    "unknown command": (["bogus"], 1, None),
     "zero dim": (["train", "--arch", "mpgnn", "--data", "counterexample", "--dim", "0", "--out", "{out}"], 1, None),
     "zero layers": (["train", "--arch", "fgnn2", "--data", "counterexample", "--layers", "0", "--out", "{out}"], 1, None),
     "qp nonconvergence": (["sb-score", "{cycle}"], 4, _qp_fails),
@@ -423,6 +445,10 @@ NAMED = {
     "infinite lr": "--lr",
     "generate into a file": "--out",
     "train into a file": "--out",
+    "generate below a file": "--out",
+    "train below a file": "--out",
+    "negative seed in training": "--seed",
+    "negative seed in reproduction": "--seed",
 }
 
 

@@ -5,41 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milpgnn.fwl import (
-    fwl2_indistinguishable,
-    fwl2_indistinguishable_W,
-    fwl2_refine,
-    fwl2_stable,
-)
+from milpgnn import fwl
+from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import build_graph, permute
 from milpgnn.sb import sb_scores
+from tests_helpers import class_count, refine_rounds
 
 
 class TestRefinement:
     def test_round_zero_cycle_has_two_pair_kinds_on_ww(self):
         g = build_graph(counterexample_pair()[0])
-        col = fwl2_refine(g, 0)
-        assert len(set(col.colors_ww.flat)) == 2  # diagonal vs off-diagonal
+        _, ww = refine_rounds(fwl, g, 0)
+        assert len(set(ww.flat)) == 2  # diagonal vs off-diagonal
 
     def test_class_count_monotone(self):
         g = build_graph(counterexample_pair()[1])
         prev = 0
         for rounds in range(4):
-            k = fwl2_refine(g, rounds).class_count()
+            k = class_count(refine_rounds(fwl, g, rounds))
             assert k >= prev
             prev = k
 
     def test_stable_reaches_fixed_point(self):
         g = build_graph(counterexample_pair()[0])
-        stable = fwl2_stable(g)
-        more = fwl2_refine(g, stable.round + 2)
-        assert more.class_count() == stable.class_count()
-
-    def test_negative_rounds_rejected(self):
-        g = build_graph(counterexample_pair()[0])
-        with pytest.raises(ValueError):
-            fwl2_refine(g, -1)
+        (stable,), rounds = fwl._refine_to_stability([g])
+        more = refine_rounds(fwl, g, rounds + 2)
+        assert class_count(more) == class_count(stable)
 
 
 class TestSeparation:

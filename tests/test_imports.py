@@ -11,7 +11,8 @@ must be read somewhere in the package, or be listed in its module's
 ``__all__``; so must a module-level function or class, read outside its own
 definition.  Each name in the package's and each module's
 ``__all__`` must resolve on the imported module, so a kept alias such as
-``MilpGraph`` cannot disappear silently.
+``MilpGraph`` cannot disappear silently, and each name the package's
+``__init__.py`` imports from a module must be in that module's ``__all__``.
 """
 
 import ast
@@ -180,3 +181,25 @@ def test_the_check_sees_a_missing_export():
     module.__all__ = ["present", "absent"]
     module.present = 1
     assert unresolved(module) == ["absent"]
+
+
+def exports_outside_all(init_source: str, exports: dict[str, set[str]]) -> list[str]:
+    """Names the package's ``__init__`` imports from one of its modules
+    (module name -> that module's ``__all__``) that the module does not
+    export."""
+    missing = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            missing += [f"{node.module}: {alias.name}" for alias in node.names if alias.name not in exports[node.module]]
+    return sorted(missing)
+
+
+def test_every_package_export_is_in_its_modules_all():
+    exports = {os.path.basename(path)[:-3]: exported(ast.parse(source)) for path, source in read_all(FILES).items()}
+    with open(os.path.join(PACKAGE, "__init__.py")) as fh:
+        assert exports_outside_all(fh.read(), exports) == []
+
+
+def test_the_check_sees_an_export_outside_its_modules_all():
+    source = "from .a import kept, dropped\nfrom .b import other\nfrom os import path\n"
+    assert exports_outside_all(source, {"a": {"kept"}, "b": set()}) == ["a: dropped", "b: other"]

@@ -379,6 +379,7 @@ class TestSerialization:
             pytest.param({"kind": ["mpgnn"], "dim": 4, "layers": 1, "shapes": []}, "'kind'", id="list kind"),
             pytest.param({"kind": "mpgnn", "dim": 4, "layers": 1, "shapes": [[4, 4]]}, "'shapes'", id="wrong shapes"),
             pytest.param({"kind": "mpgnn", "dim": 4, "layers": 1}, "'shapes'", id="no shapes"),
+            pytest.param({"kind": "mpgnn", "dim": 1_000_000, "layers": 1, "shapes": []}, "'shapes'", id="huge dim"),
             pytest.param("[" * 100_000, "nests too deeply", id="deep nesting"),
         ],
     )
@@ -387,6 +388,18 @@ class TestSerialization:
         blob = (header if isinstance(header, str) else json.dumps(header)).encode()
         path.write_bytes(struct.pack("<I", len(blob)) + blob)
         with pytest.raises(ValueError, match=re.escape(field)):
+            nn.load_params(path)
+
+    def test_lengths_beyond_the_file_are_not_read(self, tmp_path):
+        # neither length may become an allocation: 4 GiB of header, and
+        # 8 * 4e12 bytes of arrays for matching shapes at dim 10**6
+        path = tmp_path / "params.bin"
+        path.write_bytes(struct.pack("<I", 2**32 - 1) + b"{}")
+        with pytest.raises(ValueError, match="truncated in the header"):
+            nn.load_params(path)
+        blob = json.dumps({"kind": "mpgnn", "dim": 10**6, "layers": 1, "shapes": sum(nn._shapes("mpgnn", 10**6, 1), [])}).encode()
+        path.write_bytes(struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(ValueError, match="truncated in the arrays"):
             nn.load_params(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

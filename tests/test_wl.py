@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W, fwl2_refine, fwl2_stable
+from milpgnn import fwl, wl
+from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
 from milpgnn.gen import counterexample_pair, gen_random
 from milpgnn.instance import MilpInstance, Sense, build_graph, permute
-from milpgnn.wl import StablePartition, is_mp_tractable, stable_partition, wl_indistinguishable, wl_refine
+from milpgnn.wl import StablePartition, is_mp_tractable, stable_partition, wl_indistinguishable
+from tests_helpers import class_count, refine_rounds
 
 
 def three_var_example() -> MilpInstance:
@@ -45,18 +47,16 @@ class TestStablePartition:
             assert part.classes_w == (tuple(range(8)),)
 
     def test_round_zero_groups_by_features(self):
-        col = wl_refine(build_graph(three_var_example()), 0)
-        assert len(set(col.colors_v)) == 1
-        assert len(set(col.colors_w)) == 1
+        cv, cw = refine_rounds(wl, build_graph(three_var_example()), 0)
+        assert len(set(cv)) == 1
+        assert len(set(cw)) == 1
 
     def test_refinement_is_monotone(self):
         # classes only split, never merge
         g = build_graph(gen_random(11))
         prev = None
         for rounds in range(8):
-            col = wl_refine(g, rounds)
-            cv, cw = col.partition()
-            k = len(cv) + len(cw)
+            k = class_count(refine_rounds(wl, g, rounds))
             if prev is not None:
                 assert k >= prev
             prev = k
@@ -147,7 +147,7 @@ class TestComplexityTrend:
             g = build_graph(inst)
             t0 = time.perf_counter()
             for _ in range(5):
-                wl_refine(g, 3)
+                refine_rounds(wl, g, 3)
             return time.perf_counter() - t0
 
         small, large = cost(20), cost(40)
@@ -246,8 +246,8 @@ class TestAgainstOracle:
             part = stable_partition(g)
             assert (part.classes_v, part.classes_w, part.rounds_to_converge) == oracles.stable_partition(g)
             assert is_mp_tractable(inst)[1] == oracles.mp_tractability_witness(inst)
-            pairs = fwl2_stable(g)
-            assert (pairs.class_count(), pairs.round) == oracles.fwl2_stable(g)
+            colorings, rounds = fwl._refine_to_stability([g])
+            assert (wl._class_count(colorings), rounds) == oracles.fwl2_stable(g)
         assert wl_indistinguishable(ga, gb) == oracles.wl_indistinguishable(ga, gb)
         assert fwl2_indistinguishable(ga, gb) == oracles.fwl2_indistinguishable(ga, gb)
         assert fwl2_indistinguishable_W(ga, gb) == oracles.fwl2_indistinguishable_W(ga, gb)
@@ -294,13 +294,14 @@ class TestDegenerateShapes:
     )
     def test_every_check_runs(self, a, b, classes, classes_b, pair_classes, verdicts):
         ga, gb = build_graph(a), build_graph(b)
-        assert wl_refine(ga, 2).partition() == classes
+        assert tuple(map(wl._group, refine_rounds(wl, ga, 2))) == classes
         assert stable_partition(ga) == StablePartition(*classes, rounds_to_converge=0)
         assert stable_partition(gb) == StablePartition(*classes_b, rounds_to_converge=0)
         assert is_mp_tractable(a) == (True, None) and is_mp_tractable(b) == (True, None)
-        col = fwl2_refine(ga, 1)
-        assert col.colors_vw.shape == (a.m, a.n) and col.colors_ww.shape == (a.n, a.n)
-        assert col.class_count() == pair_classes[0]
-        assert [(s.round, s.class_count()) for s in (fwl2_stable(ga), fwl2_stable(gb))] == [(0, k) for k in pair_classes]
+        vw, ww = refine_rounds(fwl, ga, 1)
+        assert vw.shape == (a.m, a.n) and ww.shape == (a.n, a.n)
+        assert class_count((vw, ww)) == pair_classes[0]
+        stable = [fwl._refine_to_stability([g]) for g in (ga, gb)]
+        assert [(rounds, wl._class_count(colorings)) for colorings, rounds in stable] == [(0, k) for k in pair_classes]
         assert (wl_indistinguishable(ga, ga), fwl2_indistinguishable(ga, ga), fwl2_indistinguishable_W(ga, ga)) == (True, True, True)
         assert (wl_indistinguishable(ga, gb), fwl2_indistinguishable(ga, gb), fwl2_indistinguishable_W(ga, gb)) == verdicts

@@ -2,7 +2,26 @@
 
 import numpy as np
 
+from milpgnn import fwl, wl
 from milpgnn.instance import MilpInstance, Sense, serialize_instance
+
+
+def refine_rounds(module, g: MilpInstance, rounds: int):
+    """One graph's colors after exactly ``rounds`` rounds of the refinement
+    that ``module`` (``wl`` or ``fwl``) runs to stability: node colors
+    (V, W) or dense pair colors (VW, WW).  Round 0 is features only."""
+    if module is wl:
+        colorings, refine_once = wl._refiner([g])
+    else:
+        colorings, refine_once = fwl._initial([g]), fwl._refine_once
+    for _ in range(rounds):
+        colorings = refine_once(colorings)
+    return colorings[0]
+
+
+def class_count(colors) -> int:
+    """Distinct colors over both kinds of one graph's coloring."""
+    return wl._class_count([colors])
 
 
 def three_var_file(tmp_path) -> str:
