@@ -4,7 +4,9 @@ Exit codes are a stable contract: 0 success, 1 input error (a bad file or
 argument), 2 undefined branching scores (infeasible or unbounded relaxation),
 3 intractable verdict from check-tractability, 4 numerical failure (the LP
 backend or the min-norm QP failed to converge, or the training loss became
-NaN).  Every failure prints one ``error:`` line to stderr.  Machine-readable
+NaN).  Every failure prints one ``error:`` line to stderr.  Each option has a
+checked parser type, so a bad argument is found before any file is read and
+reads ``error: argument --dim: must be >= 1, got '0'``.  Machine-readable
 JSON goes to stdout with 0-based indices; the human-readable partition
 summary uses 1-based indices.
 
@@ -91,25 +93,10 @@ def cmd_check_tractability(args) -> int:
     return EXIT_OK if tractable else EXIT_INTRACTABLE
 
 
-def _parse_rule(spec: str) -> ScoreRule:
-    if spec == "product":
-        return PRODUCT_RULE
-    if spec.startswith("linear:"):
-        try:
-            mu = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise CliInputError(f"bad rule {spec!r}") from exc
-        if not 0.0 <= mu <= 1.0:
-            raise CliInputError("linear rule weight must be in [0, 1]")
-        return ScoreRule("linear", mu)
-    raise CliInputError(f"unknown rule {spec!r} (expected 'product' or 'linear:MU')")
-
-
 def cmd_sb_score(args) -> int:
     inst = _load(args.instance)
-    rule = _parse_rule(args.rule)
     try:
-        result = sb_scores(inst, rule)
+        result = sb_scores(inst, args.rule)
     except (RelaxationInfeasibleError, RelaxationUnboundedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED_SB
@@ -165,6 +152,9 @@ def _read_curve_csv(path) -> list[tuple[int, float, float]]:
         raise CliInputError(f"cannot resume: {path} has a row that is not three numbers: {exc}") from exc
     if [row[0] for row in curve] != list(range(len(curve))):
         raise CliInputError(f"cannot resume: {path} does not number its rows 0 to {len(curve) - 1} in order")
+    for k, value, lr in curve:
+        if not (0 <= value < math.inf and 0 < lr < math.inf):
+            raise CliInputError(f"cannot resume: {path} row {k} has loss {value} and lr {lr}, not a finite loss >= 0 and a positive finite lr")
     return curve
 
 
@@ -220,22 +210,6 @@ def _load_dataset(spec: str):
     return dataset
 
 
-def _require_nonnegative(args, *names) -> None:
-    """A negative count or size is an input error that names its option."""
-    for name in names:
-        if getattr(args, name) < 0:
-            raise CliInputError(f"--{name} must be >= 0, got {getattr(args, name)}")
-
-
-def _require_out_dir(args) -> None:
-    """--out, or its nearest existing ancestor, is a directory; checked before any work."""
-    path = os.path.abspath(args.out)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path):
-        raise CliInputError(f"--out {args.out}: {path} exists and is not a directory")
-
-
 def _resume(args, params_path, curve_path):
     """The saved network and curve of the run to continue."""
     for path, other in ((params_path, curve_path), (curve_path, params_path)):
@@ -257,27 +231,15 @@ def _resume(args, params_path, curve_path):
 
 
 def cmd_train(args) -> int:
-    _require_nonnegative(args, "epochs", "seed")
-    if not (math.isfinite(args.lr) and args.lr > 0):
-        raise CliInputError(f"--lr must be positive and finite, got {args.lr}")
-    _require_out_dir(args)
     params_path, curve_path = (os.path.join(args.out, name) for name in ("params.bin", "curve.csv"))
     resume = args.resume and (os.path.exists(params_path) or os.path.exists(curve_path))
     if resume:
         params, done = _resume(args, params_path, curve_path)
     else:
-        try:
-            params = nn.init_params(args.arch, args.dim, args.layers, args.seed)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
-        done = []
+        params, done = nn.init_params(args.arch, args.dim, args.layers, args.seed), []
     dataset = _load_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
-    cfg = nn.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        target_loss=args.target,
-    )
+    cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs, target_loss=args.target)
     try:
         trained, curve = nn.train(params, dataset, cfg)
     except nn.DivergenceError as exc:
@@ -302,8 +264,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _require_nonnegative(args, "count", "m", "n", "nnz")
-    _require_out_dir(args)
     rejected = 0
     try:
         if args.family == "random":
@@ -330,7 +290,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reproduce_counterexample(args) -> int:
-    _require_nonnegative(args, "seed")
     inst_a, inst_b = counterexample_pair()
     sa, sb = sb_scores(inst_a), sb_scores(inst_b)
     tract_a, _ = is_mp_tractable(inst_a)
@@ -376,6 +335,52 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _checked(kind, holds, bound: str):
+    """A parser type: the text as a ``kind`` that ``holds``.  A malformed
+    value keeps argparse's wording ("invalid int value: 'abc'")."""
+
+    def convert(text):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
+_COUNT = _checked(int, lambda v: v >= 0, ">= 0")
+_WIDTH = _checked(int, lambda v: v >= 1, ">= 1")
+_RATE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_LOSS = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_DENSITY = _checked(float, lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _rule(spec: str) -> ScoreRule:
+    """--rule: 'product' or 'linear:MU' with MU in [0, 1]."""
+    if spec == "product":
+        return PRODUCT_RULE
+    kind, _, weight = spec.partition(":")
+    try:
+        if kind == "linear" and 0.0 <= float(weight) <= 1.0:
+            return ScoreRule("linear", float(weight))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'product' or 'linear:MU' with MU in [0, 1], got {spec!r}")
+
+
+def _out_dir(text: str) -> str:
+    """--out: a directory, or a path whose nearest existing ancestor is one."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    path = os.path.abspath(text)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path} exists and is not a directory")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="milpgnn", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sb-score", help="strong-branching score vector")
     p.add_argument("instance")
-    p.add_argument("--rule", default="product", help="'product' or 'linear:MU'")
+    p.add_argument("--rule", type=_rule, default="product", help="'product' or 'linear:MU'")
     p.set_defaults(func=cmd_sb_score)
 
     p = sub.add_parser("fwl2-compare", help="pair-refinement indistinguishability verdicts")
@@ -397,29 +402,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a surrogate to SB scores")
     p.add_argument("--arch", choices=["mpgnn", "fgnn2"], required=True)
     p.add_argument("--data", required=True, help="instance directory or 'counterexample'")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--target", type=float, default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--dim", type=_WIDTH, default=64)
+    p.add_argument("--layers", type=_WIDTH, default=2)
+    p.add_argument("--epochs", type=_COUNT, default=10000)
+    p.add_argument("--seed", type=_COUNT, default=0)
+    p.add_argument("--lr", type=_RATE, default=1e-5)
+    p.add_argument("--target", type=_LOSS, default=None)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.add_argument("--resume", action="store_true", help="continue the run saved in --out, if there is one")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="write instance files plus a manifest")
     p.add_argument("--family", choices=["random", "set-cover", "counterexample"], default="random")
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_COUNT, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=6)
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--nnz", type=int, default=60)
-    p.add_argument("--density", type=float, default=0.2)
-    p.add_argument("--out", required=True)
+    p.add_argument("--m", type=_COUNT, default=6)
+    p.add_argument("--n", type=_COUNT, default=20)
+    p.add_argument("--nnz", type=_COUNT, default=60)
+    p.add_argument("--density", type=_DENSITY, default=0.2)
+    p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("reproduce-counterexample", help="one-shot separation report")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_COUNT, default=0)
     p.set_defaults(func=cmd_reproduce_counterexample)
 
     return ap
@@ -429,7 +434,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (LpNumericalError, nn.DivergenceError) as exc:

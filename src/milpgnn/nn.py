@@ -589,8 +589,9 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 
 def load_params(path) -> GnnParams:
     """Inverse of save_params.  A short file, a header that is not a network
-    of a known architecture, shapes that do not match it, and bytes after
-    the last array are ValueErrors; a bad header field is named."""
+    of a known architecture, shapes that do not match it, bytes after the
+    last array and a NaN or infinite parameter are ValueErrors; a bad header
+    field is named."""
     with open(path, "rb") as fh:
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "the header length"))
         try:
@@ -613,4 +614,7 @@ def load_params(path) -> GnnParams:
         raw = _read_exact(fh, 8 * sum(math.prod(s) for s in shapes), "the arrays")
         if fh.read(1):
             raise ValueError("parameter file has trailing bytes after the last array")
-    return _bind(header["kind"], header["dim"], header["layers"], np.frombuffer(raw, dtype="<f8").astype(np.float64))
+    theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(theta).all():
+        raise ValueError("parameter file holds a non-finite value")
+    return _bind(header["kind"], header["dim"], header["layers"], theta)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -271,6 +272,11 @@ class TestResume:
         path.write_bytes(path.read_bytes()[:-8])
         assert "parameter file truncated in the arrays" in self.refused(capsys, monkeypatch, saved_run)
 
+    def test_non_finite_params(self, capsys, monkeypatch, saved_run):
+        path = saved_run / "params.bin"
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+        assert "holds a non-finite value" in self.refused(capsys, monkeypatch, saved_run)
+
     def test_params_header_of_a_huge_network(self, capsys, monkeypatch, saved_run):
         # the header is checked against the architecture before theta exists
         blob = json.dumps({"kind": "mpgnn", "dim": 1_000_000, "layers": 1, "shapes": []}).encode()
@@ -287,8 +293,15 @@ class TestResume:
             (lambda rows: rows + [b"3,0.5\r\n"], "has a row that is not three numbers"),
             (lambda rows: rows + [b"3,low,1e-05\r\n"], "has a row that is not three numbers"),
             (lambda rows: [b"\xff\xfe\r\n"], "curve.csv"),
+            (lambda rows: rows + [b"3,nan,1e-05\r\n"], "row 3 has loss nan"),
+            (lambda rows: rows + [b"3,inf,1e-05\r\n"], "row 3 has loss inf"),
+            (lambda rows: rows + [b"3,0.5,-1e-05\r\n"], "row 3 has loss 0.5 and lr -1e-05"),
+            (lambda rows: rows + [b"3,0.5,inf\r\n"], "row 3 has loss 0.5 and lr inf"),
         ],
-        ids=["header", "cut last line", "repeated epoch", "missing epoch", "short row", "not a number", "not text"],
+        ids=[
+            "header", "cut last line", "repeated epoch", "missing epoch", "short row", "not a number", "not text",
+            "nan loss", "infinite loss", "negative lr", "infinite lr",
+        ],
     )
     def test_malformed_curve(self, capsys, monkeypatch, saved_run, edit, message):
         path = saved_run / "curve.csv"
@@ -365,6 +378,20 @@ def test_help_still_exits_zero(capsys):
     assert "--resume" in capsys.readouterr().out
 
 
+def test_every_option_has_a_checked_type():
+    """A bare int or float type would let an option skip the parser's
+    checks; only generate's seeds may be negative."""
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = {(name, opt) for name, p in commands.choices.items() for a in p._actions if a.type in (int, float) for opt in a.option_strings}
+    assert bare <= {("generate", "--seed")}
+
+
+@pytest.mark.parametrize("argv,line", [(["--dim", "abc"], "--dim: invalid int value: 'abc'"), (["--lr", "x"], "--lr: invalid float value: 'x'")])
+def test_a_malformed_value_keeps_argparse_wording(capsys, tmp_path, argv, line):
+    assert main([arg.format(out=tmp_path / "out") for arg in TRAIN] + argv) == 1
+    assert capsys.readouterr().err == f"error: argument {line}\n"
+
+
 def _raising(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -396,6 +423,14 @@ FAILURES = {
     "infeasible relaxation": (["sb-score", "{infeasible}"], 2, None),
     "intractable verdict": (["check-tractability", "{cycle}"], 3, None),
     "zero density": (["generate", "--family", "set-cover", "--density", "0", "--out", "{out}"], 1, None),
+    "generate into ''": (["generate", "--count", "1", "--out", ""], 1, None),
+    "generate into a dangling link": (["generate", "--count", "1", "--out", "{dangling}"], 1, None),
+    # the OS refuses the name only when the directory is made
+    "generate into a name too long": (["generate", "--count", "1", "--m", "3", "--n", "6", "--nnz", "9", "--out", "{long}"], 1, None),
+    # options are checked before the instance is read
+    "rule weight above one": (["sb-score", "{out}/missing.json", "--rule", "linear:2"], 1, None),
+    "rule weight not a number": (["sb-score", "{cycle}", "--rule", "linear:x"], 1, None),
+    "unknown rule": (["sb-score", "{cycle}", "--rule", "geometric"], 1, None),
     "nnz above m*n": (["generate", "--nnz", "500", "--out", "{out}"], 1, None),
     "set cover without columns": (["generate", "--family", "set-cover", "--m", "3", "--n", "0", "--out", "{out}"], 1, None),
     "negative size": (["generate", "--family", "set-cover", "--m", "-1", "--out", "{out}"], 1, None),
@@ -416,6 +451,9 @@ FAILURES = {
     # labelling would exit 4, so exit 1 shows --out is checked first
     "train into a file": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{bad}"], 1, _qp_fails),
     "train below a file": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{bad}/sub"], 1, _qp_fails),
+    "train into ''": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", ""], 1, _qp_fails),
+    "nan target": (TRAIN + ["--target", "nan"], 1, None),
+    "negative target": (TRAIN + ["--target", "-1"], 1, None),
     "negative seed in training": (TRAIN + ["--seed", "-1"], 1, None),
     "negative seed in reproduction": (["reproduce-counterexample", "--seed", "-1"], 1, None),
     # argparse's own errors are input errors too, not its usage block and exit 2
@@ -449,6 +487,17 @@ NAMED = {
     "train below a file": "--out",
     "negative seed in training": "--seed",
     "negative seed in reproduction": "--seed",
+    "zero dim": "--dim",
+    "zero layers": "--layers",
+    "zero density": "--density",
+    "generate into ''": "--out",
+    "train into ''": "--out",
+    "generate into a dangling link": "--out",
+    "rule weight above one": "--rule",
+    "rule weight not a number": "--rule",
+    "unknown rule": "--rule",
+    "nan target": "--target",
+    "negative target": "--target",
 }
 
 
@@ -469,7 +518,12 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
     latin1, deep = tmp_path / "latin1.json", tmp_path / "deep.json"
     latin1.write_bytes(b"\x80")
     deep.write_text("[" * 100_000)
-    paths = {"bad": bad, "latin1": latin1, "deep": deep, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent, "out": tmp_path / "out"}
+    dangling = tmp_path / "dangling"
+    dangling.symlink_to(tmp_path / "missing")
+    paths = {
+        "bad": bad, "latin1": latin1, "deep": deep, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent,
+        "out": tmp_path / "out", "dangling": dangling, "long": tmp_path / ("a" * 300),
+    }
     if patch is not None:
         patch(monkeypatch)
     code = main([arg.format(**paths) for arg in argv])
@@ -485,4 +539,4 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
         assert not paths["out"].exists()
         assert bad.read_text() == "{not json"
     if case in NAMED:
-        assert f"error: {NAMED[case]} " in captured.err
+        assert captured.err.startswith(f"error: argument {NAMED[case]}: ")

@@ -390,6 +390,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(field)):
             nn.load_params(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        params = nn.init_params("mpgnn", 4, 1, seed=0)
+        params.theta[5] = value
+        path = tmp_path / "params.bin"
+        nn.save_params(params, path)
+        with pytest.raises(ValueError, match="non-finite"):
+            nn.load_params(path)
+
     def test_lengths_beyond_the_file_are_not_read(self, tmp_path):
         # neither length may become an allocation: 4 GiB of header, and
         # 8 * 4e12 bytes of arrays for matching shapes at dim 10**6
