@@ -6,7 +6,8 @@ argument), 2 undefined branching scores (infeasible or unbounded relaxation),
 backend or the min-norm QP failed to converge, or the training loss became
 NaN).  Every failure prints one ``error:`` line to stderr.  Each option has a
 checked parser type, so a bad argument is found before any file is read and
-reads ``error: argument --dim: must be >= 1, got '0'``.  Machine-readable
+reads ``error: argument --dim: must be >= 1, got '0'``.  ``generate`` refuses,
+in that format, an option its --family does not read.  Machine-readable
 JSON goes to stdout with 0-based indices; the human-readable partition
 summary uses 1-based indices.
 
@@ -263,14 +264,34 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+# The options each generate --family reads, with their defaults.
+FAMILY_OPTIONS = {
+    "random": {"count": 10, "m": 6, "n": 20, "nnz": 60},
+    "set-cover": {"count": 10, "m": 6, "n": 20, "density": 0.2},
+    "counterexample": {},
+}
+
+
+def _family_options(args) -> dict:
+    """The options --family reads: its defaults, replaced by the values
+    given.  Giving an option the family ignores is an argument error."""
+    used = FAMILY_OPTIONS[args.family]
+    given = {name: getattr(args, name) for name in ("count", "m", "n", "nnz", "density") if hasattr(args, name)}
+    for name in given:
+        if name not in used:
+            raise CliInputError(f"argument --{name}: not used by --family {args.family}")
+    return used | given
+
+
 def cmd_generate(args) -> int:
+    opts = _family_options(args)
     rejected = 0
     try:
         if args.family == "random":
-            insts, rejected, seeds = gen_training_set(args.seed, args.count, m=args.m, n=args.n, nnz=args.nnz)
+            insts, rejected, seeds = gen_training_set(args.seed, opts["count"], m=opts["m"], n=opts["n"], nnz=opts["nnz"])
         elif args.family == "set-cover":
-            seeds = [args.seed + k for k in range(args.count)]
-            insts = [gen_set_cover(seed, args.m, args.n, args.density) for seed in seeds]
+            seeds = [args.seed + k for k in range(opts["count"])]
+            insts = [gen_set_cover(seed, opts["m"], opts["n"], opts["density"]) for seed in seeds]
         else:  # the pair is fixed; its seeds only number the files
             insts = list(counterexample_pair())
             seeds = [args.seed, args.seed + 1]
@@ -413,13 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="write instance files plus a manifest")
-    p.add_argument("--family", choices=["random", "set-cover", "counterexample"], default="random")
-    p.add_argument("--count", type=_COUNT, default=10)
+    p.add_argument("--family", choices=list(FAMILY_OPTIONS), default="random")
+    # left unset unless given, so that _family_options can refuse the ones --family ignores
+    p.add_argument("--count", type=_COUNT, default=argparse.SUPPRESS, help="random and set-cover")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=_COUNT, default=6)
-    p.add_argument("--n", type=_COUNT, default=20)
-    p.add_argument("--nnz", type=_COUNT, default=60)
-    p.add_argument("--density", type=_DENSITY, default=0.2)
+    p.add_argument("--m", type=_COUNT, default=argparse.SUPPRESS, help="random and set-cover")
+    p.add_argument("--n", type=_COUNT, default=argparse.SUPPRESS, help="random and set-cover")
+    p.add_argument("--nnz", type=_COUNT, default=argparse.SUPPRESS, help="random only")
+    p.add_argument("--density", type=_DENSITY, default=argparse.SUPPRESS, help="set-cover only")
     p.add_argument("--out", type=_out_dir, required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -232,12 +232,34 @@ def _stationarity_certified(c_mat: np.ndarray, n_eq: int, x: np.ndarray) -> bool
     return _stationarity_residual(c_mat, n_eq, x) <= 1e-9 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
 
 
+def _ratio_test(g_mat: np.ndarray, g_rhs: np.ndarray, x: np.ndarray, p: np.ndarray, working: list[int]) -> tuple[float, int]:
+    """Longest step alpha <= 1 along p from x that keeps the rows off the
+    working set feasible, and the row that blocks it (-1 if none does).
+
+    g'p comes for every row in one product; only rows off the working set
+    with g'p < -1e-12 can block, and their steps come as one array.  A scan
+    in row order keeps the first step that undercuts the current alpha by
+    more than 1e-14, so near-ties go to the lowest row index."""
+    gp = g_mat @ p
+    gp[working] = 0.0
+    cand = np.flatnonzero(gp < -1e-12)
+    steps = (g_rhs[cand] - g_mat[cand] @ x) / gp[cand]
+    alpha, blocker = 1.0, -1
+    for k, step in zip(cand.tolist(), steps.tolist()):
+        if step < alpha - 1e-14:
+            alpha, blocker = max(step, 0.0), k
+    return alpha, blocker
+
+
 def min_norm_solution(inst: MilpInstance, f_star: float, x0: np.ndarray | None = None) -> np.ndarray:
     """Unique minimizer of ||x||_2 over the optimal face
     {Ax o b, l <= x <= u, c'x = f_star}.
 
     Primal active-set iteration on min 0.5 x'x; ties in the ratio test and
-    the multiplier drop break by lowest row index for determinism.
+    the multiplier drop break by lowest row index for determinism.  The
+    ratio test (``_ratio_test``) is one array expression over all rows of
+    the face: it computes the steps of the candidate rows together and
+    scans only those, in row order.
     """
     if x0 is None:
         outcome = solve_lp(inst)
@@ -274,18 +296,7 @@ def min_norm_solution(inst: MilpInstance, f_star: float, x0: np.ndarray | None =
             # Bland's rule (lowest index) to rule out cycling on degeneracy
             working.pop(int(negative[0]))
             continue
-        # Longest step along p keeping the inactive inequalities feasible.
-        alpha = 1.0
-        blocker = -1
-        for k in range(g_mat.shape[0]):
-            if k in working:
-                continue
-            gp = g_mat[k] @ p
-            if gp < -1e-12:
-                step = (g_rhs[k] - g_mat[k] @ x) / gp
-                if step < alpha - 1e-14:
-                    alpha = max(step, 0.0)
-                    blocker = k
+        alpha, blocker = _ratio_test(g_mat, g_rhs, x, p, working)
         x = x + alpha * p
         if blocker >= 0:
             working.append(blocker)

@@ -4,6 +4,10 @@ Every integer variable gets the look-ahead score built from the two LPs with
 its bound floored/ceiled at the least-norm relaxation optimum; continuous
 variables score 0.  An infinite score (a branching direction with an
 infeasible child LP) is stored as the sentinel -1.
+
+A variable that is integral at the least-norm point x* (within ``SNAP_TOL``)
+needs no child LP: the snapped x* lies in both children, so both child optima
+are f* and its deltas are (0, 0) without a solve.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ class SbScores:
 
     scores[j] is >= 0, or exactly -1.0 when one of the child LPs is
     infeasible (infinite score).  deltas[j] holds the raw (down, up)
-    objective increases with +inf for infeasible children."""
+    objective increases with +inf for infeasible children; it is (0, 0),
+    with no child LP solved, when x_star[j] is integral within SNAP_TOL."""
 
     scores: np.ndarray
     f_star: float
@@ -94,6 +99,10 @@ def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
         if not inst.integer[j]:
             continue
         xj = _snap(float(x_star[j]))
+        if xj == math.floor(xj) and inst.lower[j] <= xj <= inst.upper[j]:
+            # the snapped x* lies in both children, so both optima are f*
+            scores[j] = rule.combine(0.0, 0.0)
+            continue
         down = solve_lp(inst, BoundOverride(j, inst.lower[j], math.floor(xj)))
         up = solve_lp(inst, BoundOverride(j, math.ceil(xj), inst.upper[j]))
         d_down = down.objective - f_star if down.status == LpStatus.OPTIMAL else math.inf

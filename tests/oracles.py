@@ -5,10 +5,15 @@ candidate active sets, and the minimum-norm point on the optimal face from a
 dense pseudo-inverse projection.  Exponential in problem size by design —
 only for small instances.
 
-The LP-certificate references compute the primal and KKT residuals and the
-optimal-face system row by row and variable by variable, with the package's
-own sign and ordering conventions, so the array code can be compared with
-them bit for bit.
+The LP-certificate references compute the primal and KKT residuals, the
+optimal-face system and the active-set ratio test row by row and variable by
+variable, with the package's own sign and ordering conventions, so the array
+code can be compared with them bit for bit.
+
+The solved-path strong-branching reference is the one exception to the
+first rule: it takes the package's relaxation and least-norm point and then
+solves both child LPs of every integer variable, so it checks the shortcut
+that skips the children of a variable integral at that point.
 
 The color-refinement references intern exact signature tuples through a
 dictionary, node by node and pair by pair, and find tractability witnesses
@@ -29,6 +34,8 @@ import numpy as np
 
 from milpgnn import nn
 from milpgnn.instance import MilpInstance, Sense
+from milpgnn.lp import BoundOverride, LpStatus, min_norm_solution, solve_lp
+from milpgnn.sb import SbScores, _snap
 
 FEAS_TOL = 1e-8
 BIG = 1e6  # artificial box used to detect unboundedness
@@ -228,6 +235,49 @@ def face_constraints(inst: MilpInstance, f_star: float):
     e_mat = np.asarray(e_rows)
     g_mat = np.asarray(g_rows) if g_rows else np.zeros((0, inst.n))
     return e_mat, np.asarray(e_rhs), g_mat, np.asarray(g_rhs)
+
+
+def ratio_test(g_mat, g_rhs, x, p, working):
+    """The active-set ratio test row by row: each row off the working set
+    that p moves towards gives a step, and the first step that undercuts
+    the current alpha by more than 1e-14 wins."""
+    alpha, blocker = 1.0, -1
+    for k in range(g_mat.shape[0]):
+        if k in working:
+            continue
+        gp = g_mat[k] @ p
+        if gp < -1e-12:
+            step = (g_rhs[k] - g_mat[k] @ x) / gp
+            if step < alpha - 1e-14:
+                alpha = max(step, 0.0)
+                blocker = k
+    return alpha, blocker
+
+
+# --------------------------------------------------------------------------
+# strong branching with every child LP solved
+
+
+def sb_scores_solved(inst: MilpInstance, rule):
+    """``sb.sb_scores`` without its shortcut: both children of every integer
+    variable are solved, also where x* is already integral."""
+    relax = solve_lp(inst)
+    assert relax.status == LpStatus.OPTIMAL
+    f_star = relax.objective
+    x_star = min_norm_solution(inst, f_star, x0=relax.x)
+    scores = np.zeros(inst.n)
+    deltas = np.zeros((inst.n, 2))
+    for j in range(inst.n):
+        if not inst.integer[j]:
+            continue
+        xj = _snap(float(x_star[j]))
+        down = solve_lp(inst, BoundOverride(j, inst.lower[j], math.floor(xj)))
+        up = solve_lp(inst, BoundOverride(j, math.ceil(xj), inst.upper[j]))
+        d_down = max(down.objective - f_star, 0.0) if down.status == LpStatus.OPTIMAL else math.inf
+        d_up = max(up.objective - f_star, 0.0) if up.status == LpStatus.OPTIMAL else math.inf
+        deltas[j] = (d_down, d_up)
+        scores[j] = -1.0 if math.isinf(d_down) or math.isinf(d_up) else rule.combine(d_down, d_up)
+    return SbScores(scores=scores, f_star=f_star, x_star=x_star, deltas=deltas)
 
 
 # --------------------------------------------------------------------------

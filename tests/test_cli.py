@@ -153,6 +153,11 @@ class TestGenerate:
             assert name == f"random_{seed:06d}.json"
             assert (out / name).read_text() == serialize_instance(gen_random(seed))
 
+    @pytest.mark.parametrize("family, written", [("set-cover", 10), ("counterexample", 2)])
+    def test_each_family_runs_on_its_defaults(self, capsys, tmp_path, family, written):
+        code, report = run(capsys, "generate", "--family", family, "--out", str(tmp_path / "data"))
+        assert code == 0 and report["written"] == written
+
     def test_generation_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run(capsys, "generate", "--count", "2", "--seed", "1", "--m", "3", "--n", "6", "--nnz", "9", "--out", str(a))
@@ -412,6 +417,7 @@ def _small_rejection_budget(monkeypatch):
 
 
 TRAIN = ["train", "--arch", "mpgnn", "--data", "counterexample", "--out", "{out}"]
+GENERATE_SIZES = ("count", "m", "n", "nnz", "density")
 
 
 # Every documented failure path: (argv, exit code, the patch that makes it
@@ -438,6 +444,13 @@ FAILURES = {
     "negative n": (["generate", "--n", "-3", "--out", "{out}"], 1, None),
     "negative nnz": (["generate", "--nnz", "-1", "--out", "{out}"], 1, None),
     "negative count": (["generate", "--count", "-2", "--out", "{out}"], 1, None),
+    # an option the family does not read is refused, not ignored
+    "density with random": (["generate", "--density", "0.5", "--out", "{out}"], 1, None),
+    "nnz with set cover": (["generate", "--family", "set-cover", "--nnz", "5", "--out", "{out}"], 1, None),
+    **{
+        f"{name} with counterexample": (["generate", "--family", "counterexample", f"--{name}", "1", "--out", "{out}"], 1, None)
+        for name in GENERATE_SIZES
+    },
     "generate into a file": (["generate", "--count", "1", "--out", "{bad}"], 1, None),
     "generate below a file": (["generate", "--count", "1", "--m", "3", "--n", "6", "--nnz", "9", "--out", "{bad}/sub"], 1, None),
     "rejection budget spent": (
@@ -498,6 +511,9 @@ NAMED = {
     "unknown rule": "--rule",
     "nan target": "--target",
     "negative target": "--target",
+    "density with random": "--density",
+    "nnz with set cover": "--nnz",
+    **{f"{name} with counterexample": f"--{name}" for name in GENERATE_SIZES},
 }
 
 

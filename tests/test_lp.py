@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milpgnn import lp
-from milpgnn.gen import counterexample_pair, gen_random
+from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, permute
 from milpgnn.lp import (
     BoundOverride,
@@ -117,6 +117,22 @@ class TestMinNorm:
         x = min_norm_solution(inst, out.objective, x0=out.x)
         assert min_norm_kkt_residual(inst, out.objective, x) <= 1e-8
 
+    # Set covers have degenerate optimal faces, where the ratio test
+    # iterates most.
+    @pytest.mark.parametrize("seed", range(8))
+    def test_set_cover_matches_brute_force_projection(self, seed):
+        inst = gen_set_cover(seed, 3, 5, 0.4)
+        out = solve_lp(inst)
+        x = min_norm_solution(inst, out.objective, x0=out.x)
+        assert np.abs(x - brute_force_min_norm(inst, out.objective)).max() <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_set_cover_kkt_certificate(self, seed):
+        inst = gen_set_cover(seed, 10, 20, 0.2)
+        out = solve_lp(inst)
+        x = min_norm_solution(inst, out.objective, x0=out.x)
+        assert min_norm_kkt_residual(inst, out.objective, x) <= 1e-8
+
     def test_counterexample_min_norm_is_half(self):
         for inst in counterexample_pair():
             out = solve_lp(inst)
@@ -199,6 +215,21 @@ class TestCertificatesAgainstLoopOracle:
         assert _bits(check_kkt(inst, x, duals, override)) == _bits(oracles.check_kkt(inst, x, duals, override))
         for got, want in zip(lp._face_constraints(inst, f_star), oracles.face_constraints(inst, f_star)):
             assert _bits(got) == _bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 8), n=st.integers(1, 4), data=st.data())
+    def test_ratio_test_bitwise_equal(self, rows, n, data):
+        """Small integers make every product exact, so steps tie often and
+        the lowest-index rule decides; the two must still agree bit for bit."""
+
+        def ints(*shape):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+        g_mat, g_rhs, x, p = ints(rows, n), ints(rows), ints(n), ints(n)
+        working = sorted(data.draw(st.sets(st.integers(0, rows - 1))) if rows else [])
+        got = lp._ratio_test(g_mat, g_rhs, x, p, working)
+        assert _bits(got) == _bits(oracles.ratio_test(g_mat, g_rhs, x, p, working))
 
     # x0 in [0, 2], x1 free, x2 in [0, 1]; rows x0 + x1 <= 2, x0 >= -5,
     # x1 = 0; c = 0.  At x = (2, 0, 0.5) with zero multipliers every term is

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milpgnn.gen import counterexample_pair, gen_random
+from milpgnn import sb
+from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, permute
 from milpgnn.lp import LpStatus, solve_lp
 from milpgnn.sb import (
@@ -16,7 +17,7 @@ from milpgnn.sb import (
     sb_scores,
 )
 
-from oracles import brute_force_lp, brute_force_min_norm
+from oracles import brute_force_lp, brute_force_min_norm, sb_scores_solved
 
 
 def oracle_sb(inst: MilpInstance):
@@ -74,6 +75,54 @@ class TestOracleEquivalence:
         assert (mine < 0) .tolist() == (ref < 0).tolist()
         if finite.any():
             assert np.abs(mine[finite] - ref[finite]).max() <= 1e-7
+
+    # Tiny covers: many of their variables are integral at x*, so sb_scores
+    # skips those children while the oracle solves them.
+    @pytest.mark.parametrize("seed", range(8))
+    def test_small_set_covers(self, seed):
+        inst = gen_set_cover(seed, 3, 4, 0.5)
+        assert np.abs(sb_scores(inst).scores - oracle_sb(inst)).max() <= 1e-7
+
+
+class TestSkipAgainstSolvedPath:
+    """A variable integral at x* gets deltas (0, 0) without a child LP; the
+    oracle that solves every child must agree with it."""
+
+    def test_matches_oracle(self, monkeypatch):
+        skips_on_set_cover = []
+        solves = []
+
+        def counting_solve_lp(*args, **kwargs):
+            solves.append(1)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(sb, "solve_lp", counting_solve_lp)
+
+        @settings(max_examples=25, deadline=None)
+        @given(
+            family=st.sampled_from(["set-cover", "random"]),
+            seed=st.integers(0, 10_000),
+            rule=st.sampled_from([PRODUCT_RULE, ScoreRule("linear", 0.3)]),
+        )
+        @example(family="set-cover", seed=0, rule=PRODUCT_RULE)
+        def agrees(family, seed, rule):
+            inst = gen_set_cover(seed, 10, 20, 0.2) if family == "set-cover" else gen_random(seed, m=3, n=6, nnz=9)
+            if solve_lp(inst).status != LpStatus.OPTIMAL:
+                return
+            solves.clear()
+            mine = sb_scores(inst, rule)
+            ref = sb_scores_solved(inst, rule)
+            assert np.array_equal(mine.x_star, ref.x_star) and mine.f_star == ref.f_star
+            assert ((mine.scores < 0) == (ref.scores < 0)).all()
+            assert np.abs(mine.scores - ref.scores).max(initial=0.0) <= 1e-9
+            assert (np.isinf(mine.deltas) == np.isinf(ref.deltas)).all()
+            finite = np.isfinite(ref.deltas)
+            assert np.abs(mine.deltas[finite] - ref.deltas[finite]).max(initial=0.0) <= 1e-9
+            if family == "set-cover":
+                skips_on_set_cover.append(2 * int(inst.integer.sum()) + 1 - len(solves))
+
+        agrees()
+        assert max(skips_on_set_cover) > 0
 
 
 class TestProperties:
@@ -157,6 +206,20 @@ class TestUndefinedAndSentinel:
         result = sb_scores(inst)
         assert result.scores[0] == -1.0
         assert np.isinf(result.deltas[0]).all()
+
+    def test_snapped_value_outside_the_bounds_is_solved(self):
+        # x* = upper = 1 - 5e-10 snaps to 1, but the up child [1, upper] is
+        # empty, so the variable is not skipped and scores -1
+        inst = MilpInstance(
+            m=1, n=1, c=np.array([-1.0]), b=np.array([5.0]),
+            senses=np.array([Sense.LE], dtype=np.int8),
+            lower=np.array([0.0]), upper=np.array([1.0 - 5e-10]),
+            integer=np.array([True]),
+            a_rows=np.array([0]), a_cols=np.array([0]), a_vals=np.array([1.0]),
+        )
+        result = sb_scores(inst)
+        assert result.scores[0] == -1.0
+        assert result.deltas[0].tolist() == [0.0, math.inf]
 
 
 def no_variables(senses, b) -> MilpInstance:
