@@ -11,6 +11,9 @@ in that format, an option its --family does not read.  Machine-readable
 JSON goes to stdout with 0-based indices; the human-readable partition
 summary uses 1-based indices.
 
+``generate`` and ``train`` create --out before their work, so that a name
+the OS refuses ends the command first; when the command then fails, the
+directories it created are removed again if they are still empty.
 ``train`` writes params.bin, curve.csv and curve.svg into --out together,
 after its last epoch.  With --resume it continues the run saved there: the
 saved network must match --arch, --dim and --layers, and curve.csv keeps its
@@ -22,6 +25,7 @@ neither file starts a fresh run; any other checkpoint is an input error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -231,6 +235,26 @@ def _resume(args, params_path, curve_path):
     return params, _read_curve_csv(curve_path)
 
 
+@contextlib.contextmanager
+def _made_out_dir(out: str):
+    """Create --out before the work, so that a name the OS refuses is found
+    first; if the command then fails, remove the directories it created
+    that are still empty."""
+    made = []
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(out, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for path in made:  # deepest first
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
+
+
 def cmd_train(args) -> int:
     params_path, curve_path = (os.path.join(args.out, name) for name in ("params.bin", "curve.csv"))
     resume = args.resume and (os.path.exists(params_path) or os.path.exists(curve_path))
@@ -238,18 +262,18 @@ def cmd_train(args) -> int:
         params, done = _resume(args, params_path, curve_path)
     else:
         params, done = nn.init_params(args.arch, args.dim, args.layers, args.seed), []
-    dataset = _load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
-    cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs, target_loss=args.target)
-    try:
-        trained, curve = nn.train(params, dataset, cfg)
-    except nn.DivergenceError as exc:
-        raise nn.DivergenceError(len(done) + exc.epoch) from exc
-    curve = [(len(done) + epoch, value, lr) for epoch, value, lr in curve]
-    nn.save_params(trained, params_path)
-    _write_curve_csv(curve, curve_path, append=resume)
-    curve = done + curve
-    _write_svg(curve, os.path.join(args.out, "curve.svg"))
+    with _made_out_dir(args.out):
+        dataset = _load_dataset(args.data)
+        cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs, target_loss=args.target)
+        try:
+            trained, curve = nn.train(params, dataset, cfg)
+        except nn.DivergenceError as exc:
+            raise nn.DivergenceError(len(done) + exc.epoch) from exc
+        curve = [(len(done) + epoch, value, lr) for epoch, value, lr in curve]
+        nn.save_params(trained, params_path)
+        _write_curve_csv(curve, curve_path, append=resume)
+        curve = done + curve
+        _write_svg(curve, os.path.join(args.out, "curve.svg"))
     _emit(
         {
             "arch": args.arch,
@@ -285,27 +309,27 @@ def _family_options(args) -> dict:
 
 def cmd_generate(args) -> int:
     opts = _family_options(args)
-    rejected = 0
-    try:
-        if args.family == "random":
-            insts, rejected, seeds = gen_training_set(args.seed, opts["count"], m=opts["m"], n=opts["n"], nnz=opts["nnz"])
-        elif args.family == "set-cover":
-            seeds = [args.seed + k for k in range(opts["count"])]
-            insts = [gen_set_cover(seed, opts["m"], opts["n"], opts["density"]) for seed in seeds]
-        else:  # the pair is fixed; its seeds only number the files
-            insts = list(counterexample_pair())
-            seeds = [args.seed, args.seed + 1]
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    # file k is named by seeds[k], the seed that regenerates it
-    files = [f"{args.family}_{seed:06d}.json" for seed in seeds]
-    manifest = {"family": args.family, "seeds": seeds, "files": files, "rejected": rejected}
-    os.makedirs(args.out, exist_ok=True)
-    for name, inst in zip(files, insts):
-        with open(os.path.join(args.out, name), "w") as fh:
-            fh.write(serialize_instance(inst))
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    with _made_out_dir(args.out):
+        rejected = 0
+        try:
+            if args.family == "random":
+                insts, rejected, seeds = gen_training_set(args.seed, opts["count"], m=opts["m"], n=opts["n"], nnz=opts["nnz"])
+            elif args.family == "set-cover":
+                seeds = [args.seed + k for k in range(opts["count"])]
+                insts = [gen_set_cover(seed, opts["m"], opts["n"], opts["density"]) for seed in seeds]
+            else:  # the pair is fixed; its seeds only number the files
+                insts = list(counterexample_pair())
+                seeds = [args.seed, args.seed + 1]
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from exc
+        # file k is named by seeds[k], the seed that regenerates it
+        files = [f"{args.family}_{seed:06d}.json" for seed in seeds]
+        manifest = {"family": args.family, "seeds": seeds, "files": files, "rejected": rejected}
+        for name, inst in zip(files, insts):
+            with open(os.path.join(args.out, name), "w") as fh:
+                fh.write(serialize_instance(inst))
+        with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2)
     _emit({"written": len(insts), "out": args.out, "rejected": rejected})
     return EXIT_OK
 

@@ -1,7 +1,13 @@
 """LP relaxations and the minimal-l2-norm optimal solution.
 
 ``solve_lp`` relaxes integrality and solves with HiGHS (deterministic dual
-simplex via scipy), optionally with a single variable's bounds replaced.
+simplex via scipy's ``linprog``), optionally with a single variable's bounds
+replaced, and reports the answer's KKT residual.  Strong branching solves
+the relaxation through it.  Its child LPs run on ``_ChildLps`` instead: one
+HiGHS model per instance, built once from the triplets through scipy's
+bundled HiGHS binding, where each child starts hot from the relaxation's
+optimal basis with one variable's bounds replaced.  The model's relaxation
+optimum must agree with ``solve_lp``'s, or it refuses to solve any child.
 ``min_norm_solution`` picks the unique least-norm point of the optimal face
 with a primal active-set QP, which raises ``LpNumericalError`` when its
 iteration budget runs out; only the tests check its answer's KKT residual
@@ -10,11 +16,21 @@ iteration budget runs out; only the tests check its answer's KKT residual
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy
 from scipy.optimize import linprog, lsq_linear
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # a private module: scipy may move or drop it
+    raise ImportError(
+        f"milpgnn needs scipy's bundled HiGHS binding scipy.optimize._highspy._core, "
+        f"which the installed scipy {scipy.__version__} does not provide (tested with scipy 1.17.x)"
+    ) from exc
 
 from .instance import MilpInstance, Sense
 
@@ -152,6 +168,72 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
         primal_residual=primal,
         kkt_residual=kkt,
     )
+
+
+class _ChildLps:
+    """The LP relaxation as one HiGHS model, for solving the child LPs of
+    strong branching.
+
+    The model is built once from the triplets, column-wise, with
+    ``_row_sign``'s rows as ranges: >= rows [b, +inf], <= rows [-inf, b],
+    = rows [b, b].  Its relaxation is solved once and its optimal basis
+    kept.  The optimum must agree with ``f_star`` (``solve_lp``'s) within
+    1e-9 relative (absolute below |f_star| = 1), or building raises
+    ``LpNumericalError``.  Each child starts from the kept basis; still, the
+    children of one instance must be solved on a fresh model in a fixed
+    order to repeat bit for bit, since HiGHS keeps state beyond the basis
+    between runs."""
+
+    def __init__(self, inst: MilpInstance, f_star: float):
+        sign = _row_sign(inst)
+        order = np.argsort(inst.a_cols, kind="stable")
+        model = _highs.HighsLp()
+        model.num_col_, model.num_row_ = inst.n, inst.m
+        model.col_cost_, model.col_lower_, model.col_upper_ = inst.c, inst.lower, inst.upper
+        model.row_lower_ = np.where(sign < 0, -np.inf, inst.b)
+        model.row_upper_ = np.where(sign > 0, np.inf, inst.b)
+        matrix = model.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = inst.n, inst.m
+        matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(inst.a_cols, minlength=inst.n))])
+        matrix.index_ = inst.a_rows[order]
+        matrix.value_ = inst.a_vals[order]
+        self._lower, self._upper = inst.lower, inst.upper
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        if self._highs.passModel(model) == _highs.HighsStatus.kError:
+            raise LpNumericalError("LP backend refused the relaxation's model")
+        status = self._run()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise LpNumericalError(f"LP backend failure on the relaxation's model: {self._highs.modelStatusToString(status)}")
+        objective = self._highs.getInfo().objective_function_value
+        if abs(objective - f_star) > 1e-9 * max(1.0, abs(f_star)):
+            raise LpNumericalError(f"the relaxation's model has optimum {objective!r}, but the LP optimum is {f_star!r}")
+        self._basis = self._highs.getBasis()
+
+    def _run(self):
+        """Solve the model as it stands; its model status."""
+        self._highs.run()
+        return self._highs.getModelStatus()
+
+    def objective(self, j: int, lower: float, upper: float) -> float:
+        """Optimum of the relaxation with x_j's bounds replaced by [lower,
+        upper]; +inf when that child is infeasible (or unbounded, which as
+        a restriction of a bounded LP it is only numerically)."""
+        if lower > upper:
+            return math.inf
+        self._highs.setBasis(self._basis)
+        self._highs.changeColBounds(j, lower, upper)
+        try:
+            status = self._run()
+            objective = self._highs.getInfo().objective_function_value
+        finally:
+            self._highs.changeColBounds(j, self._lower[j], self._upper[j])
+        if status == _highs.HighsModelStatus.kOptimal:
+            return objective
+        if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kUnbounded):
+            return math.inf
+        raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: {self._highs.modelStatusToString(status)}")
 
 
 def _primal_residual(inst: MilpInstance, ax: np.ndarray, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:

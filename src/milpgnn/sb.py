@@ -8,6 +8,11 @@ infeasible child LP) is stored as the sentinel -1.
 A variable that is integral at the least-norm point x* (within ``SNAP_TOL``)
 needs no child LP: the snapped x* lies in both children, so both child optima
 are f* and its deltas are (0, 0) without a solve.
+
+The relaxation is solved by ``solve_lp``.  The child LPs of one call run on
+one hot-started HiGHS model (``lp._ChildLps``), built for the first variable
+that needs them and solved in variable order, down child first.  No model
+outlives the call, so a call's output does not depend on earlier calls.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import MilpInstance
-from .lp import BoundOverride, LpStatus, min_norm_solution, solve_lp
+from .lp import LpStatus, _ChildLps, min_norm_solution, solve_lp
 
 __all__ = [
     "SbScores",
@@ -95,6 +100,7 @@ def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
     n = inst.n
     scores = np.zeros(n)
     deltas = np.zeros((n, 2))
+    children = None  # built for the first variable that needs its child LPs
     for j in range(n):
         if not inst.integer[j]:
             continue
@@ -103,13 +109,11 @@ def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
             # the snapped x* lies in both children, so both optima are f*
             scores[j] = rule.combine(0.0, 0.0)
             continue
-        down = solve_lp(inst, BoundOverride(j, inst.lower[j], math.floor(xj)))
-        up = solve_lp(inst, BoundOverride(j, math.ceil(xj), inst.upper[j]))
-        d_down = down.objective - f_star if down.status == LpStatus.OPTIMAL else math.inf
-        d_up = up.objective - f_star if up.status == LpStatus.OPTIMAL else math.inf
+        if children is None:
+            children = _ChildLps(inst, f_star)
         # bound changes only shrink the feasible set, so clamp solver noise
-        d_down = max(d_down, 0.0)
-        d_up = max(d_up, 0.0)
+        d_down = max(children.objective(j, inst.lower[j], math.floor(xj)) - f_star, 0.0)
+        d_up = max(children.objective(j, math.ceil(xj), inst.upper[j]) - f_star, 0.0)
         deltas[j] = (d_down, d_up)
         if math.isinf(d_down) or math.isinf(d_up):
             scores[j] = -1.0

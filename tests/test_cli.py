@@ -412,6 +412,10 @@ def _training_diverges(monkeypatch):
     monkeypatch.setattr(nn, "train", _raising(nn.DivergenceError(3)))
 
 
+def _generation_fails(monkeypatch):
+    monkeypatch.setattr(cli, "gen_training_set", _raising(AssertionError("the instances were generated")))
+
+
 def _small_rejection_budget(monkeypatch):
     monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 20)
 
@@ -465,6 +469,13 @@ FAILURES = {
     "train into a file": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{bad}"], 1, _qp_fails),
     "train below a file": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{bad}/sub"], 1, _qp_fails),
     "train into ''": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", ""], 1, _qp_fails),
+    # --out is made before the work, so the OS refuses the name first
+    "train into a name too long": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{long}"], 1, _qp_fails),
+    "generate into a name too long, before generating": (
+        ["generate", "--count", "1", "--m", "3", "--n", "6", "--nnz", "9", "--out", "{long}"], 1, _generation_fails
+    ),
+    # ... and removed again, with the parents it made, when a later input error stops the command
+    "train on data with undefined SB": (["train", "--arch", "mpgnn", "--data", "{undefined}", "--out", "{out}/sub"], 1, None),
     "nan target": (TRAIN + ["--target", "nan"], 1, None),
     "negative target": (TRAIN + ["--target", "-1"], 1, None),
     "negative seed in training": (TRAIN + ["--seed", "-1"], 1, None),
@@ -536,9 +547,12 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
     deep.write_text("[" * 100_000)
     dangling = tmp_path / "dangling"
     dangling.symlink_to(tmp_path / "missing")
+    undefined = tmp_path / "undefined"
+    undefined.mkdir()
+    infeasible_file(undefined)
     paths = {
         "bad": bad, "latin1": latin1, "deep": deep, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent,
-        "out": tmp_path / "out", "dangling": dangling, "long": tmp_path / ("a" * 300),
+        "out": tmp_path / "out", "dangling": dangling, "long": tmp_path / ("a" * 300), "undefined": undefined,
     }
     if patch is not None:
         patch(monkeypatch)

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -260,3 +265,29 @@ class TestCertificatesAgainstLoopOracle:
         got = check_kkt(inst, x, duals, args["override"])
         assert got == pytest.approx(expected, rel=1e-12)
         assert _bits(got) == _bits(oracles.check_kkt(inst, x, duals, args["override"]))
+
+
+MISSING_BINDING = """
+import sys
+import scipy.optimize._highspy as highspy
+
+# scipy itself imported the binding; hide it as a scipy without it would
+del highspy._core
+sys.modules["scipy.optimize._highspy._core"] = None
+try:
+    import milpgnn.lp
+except ImportError as exc:
+    print(exc)
+else:
+    print("imported")
+"""
+
+
+def test_a_missing_highs_binding_names_the_scipy_version():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", MISSING_BINDING], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert "scipy.optimize._highspy._core" in proc.stdout
+    assert f"the installed scipy {scipy.__version__} does not provide" in proc.stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milpgnn import sb
+from milpgnn import cli, gen, lp
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
-from milpgnn.instance import MilpInstance, Sense, permute
-from milpgnn.lp import LpStatus, solve_lp
+from milpgnn.instance import MilpInstance, Sense, permute, serialize_instance
+from milpgnn.lp import BoundOverride, LpNumericalError, LpStatus, solve_lp
 from milpgnn.sb import (
     PRODUCT_RULE,
     RelaxationInfeasibleError,
@@ -84,29 +85,61 @@ class TestOracleEquivalence:
         assert np.abs(sb_scores(inst).scores - oracle_sb(inst)).max() <= 1e-7
 
 
+@st.composite
+def cycle_covers(draw) -> MilpInstance:
+    """Covering rows x_a + x_b >= 1 along disjoint cycles over shuffled
+    variables, as the benchmark's cycle-cover family builds them."""
+    lengths = draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))
+    labels = draw(st.permutations(range(sum(lengths))))
+    pairs, pos = [], 0
+    for size in lengths:
+        cycle = labels[pos : pos + size]
+        pos += size
+        pairs += [(cycle[k], cycle[(k + 1) % size]) for k in range(size)]
+    return gen._covering_instance(pairs)
+
+
+@st.composite
+def skip_instances(draw) -> tuple[str, MilpInstance]:
+    family = draw(st.sampled_from(["set-cover", "set-cover with = rows", "random", "random with infinite bounds", "cycles"]))
+    if family == "cycles":
+        return family, draw(cycle_covers())
+    seed = draw(st.integers(0, 10_000))
+    if family.startswith("set-cover"):
+        inst = gen_set_cover(seed, 10, 20, 0.2)
+        if family == "set-cover with = rows":
+            eq = np.array(draw(st.lists(st.booleans(), min_size=inst.m, max_size=inst.m)))
+            inst = dataclasses.replace(inst, senses=np.where(eq, Sense.EQ, inst.senses).astype(np.int8))
+        return family, inst
+    inst = gen_random(seed, m=3, n=6, nnz=9)
+    if family == "random with infinite bounds":
+        free_below = np.array(draw(st.lists(st.booleans(), min_size=inst.n, max_size=inst.n)))
+        free_above = np.array(draw(st.lists(st.booleans(), min_size=inst.n, max_size=inst.n)))
+        inst = dataclasses.replace(inst, lower=np.where(free_below, -np.inf, inst.lower), upper=np.where(free_above, np.inf, inst.upper))
+    return family, inst
+
+
 class TestSkipAgainstSolvedPath:
     """A variable integral at x* gets deltas (0, 0) without a child LP; the
-    oracle that solves every child must agree with it."""
+    oracle that solves every child through ``solve_lp`` must agree with
+    the hot-started child LPs and the skips."""
 
     def test_matches_oracle(self, monkeypatch):
         skips_on_set_cover = []
         solves = []
+        child_objective = lp._ChildLps.objective
 
-        def counting_solve_lp(*args, **kwargs):
+        def counting_objective(*args, **kwargs):
             solves.append(1)
-            return solve_lp(*args, **kwargs)
+            return child_objective(*args, **kwargs)
 
-        monkeypatch.setattr(sb, "solve_lp", counting_solve_lp)
+        monkeypatch.setattr(lp._ChildLps, "objective", counting_objective)
 
-        @settings(max_examples=25, deadline=None)
-        @given(
-            family=st.sampled_from(["set-cover", "random"]),
-            seed=st.integers(0, 10_000),
-            rule=st.sampled_from([PRODUCT_RULE, ScoreRule("linear", 0.3)]),
-        )
-        @example(family="set-cover", seed=0, rule=PRODUCT_RULE)
-        def agrees(family, seed, rule):
-            inst = gen_set_cover(seed, 10, 20, 0.2) if family == "set-cover" else gen_random(seed, m=3, n=6, nnz=9)
+        @settings(max_examples=40, deadline=None)
+        @given(case=skip_instances(), rule=st.sampled_from([PRODUCT_RULE, ScoreRule("linear", 0.3)]))
+        @example(case=("set-cover", gen_set_cover(0, 10, 20, 0.2)), rule=PRODUCT_RULE)
+        def agrees(case, rule):
+            family, inst = case
             if solve_lp(inst).status != LpStatus.OPTIMAL:
                 return
             solves.clear()
@@ -119,10 +152,88 @@ class TestSkipAgainstSolvedPath:
             finite = np.isfinite(ref.deltas)
             assert np.abs(mine.deltas[finite] - ref.deltas[finite]).max(initial=0.0) <= 1e-9
             if family == "set-cover":
-                skips_on_set_cover.append(2 * int(inst.integer.sum()) + 1 - len(solves))
+                skips_on_set_cover.append(2 * int(inst.integer.sum()) - len(solves))
 
         agrees()
         assert max(skips_on_set_cover) > 0
+
+
+class TestRepeatability:
+    """No solver state outlives a call: the same instance gives the same
+    bits first, again, and after other instances were scored."""
+
+    def test_bitwise_equal_across_calls(self):
+        insts = [gen_set_cover(0, 30, 60, 0.1), gen_random(2), counterexample_pair()[1], gen_random(5)]
+        first = [sb_scores(inst) for inst in insts]
+        again = [sb_scores(inst) for inst in insts]
+        later = [sb_scores(inst) for inst in reversed(insts)][::-1]
+        for ref, *others in zip(first, again, later):
+            assert np.isfinite(ref.deltas).any() and (ref.deltas > 0).any()
+            for other in others:
+                assert other.f_star == ref.f_star
+                for field in ("scores", "deltas", "x_star"):
+                    assert getattr(other, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+Status = lp._highs.HighsModelStatus
+
+
+def _children_report(monkeypatch, status):
+    """Every child LP reports ``status``; the relaxation's model solves as it is."""
+    run = lp._ChildLps._run
+
+    def patched(self):
+        real = run(self)
+        return status if hasattr(self, "_basis") else real
+
+    monkeypatch.setattr(lp._ChildLps, "_run", patched)
+
+
+class TestChildLpStatuses:
+    """The child model's statuses map as linprog's do in ``solve_lp``."""
+
+    def test_optimal_gives_the_objective(self, monkeypatch):
+        inst = counterexample_pair()[1]
+        children = lp._ChildLps(inst, 4.0)
+        for j, lower, upper in [(0, 0.0, 0.0), (0, 1.0, 1.0), (6, 0.0, 0.0), (7, 1.0, 1.0)]:
+            want = solve_lp(inst, BoundOverride(j, lower, upper)).objective
+            assert children.objective(j, lower, upper) == pytest.approx(want, abs=1e-9)
+        _children_report(monkeypatch, Status.kOptimal)
+        assert np.abs(sb_scores(inst).scores - np.array([0.25] * 6 + [0.0, 0.0])).max() <= 1e-9
+
+    @pytest.mark.parametrize("status", [Status.kInfeasible, Status.kUnbounded])
+    def test_infeasible_and_unbounded_score_the_sentinel(self, monkeypatch, status):
+        _children_report(monkeypatch, status)
+        result = sb_scores(counterexample_pair()[1])
+        assert result.scores.tolist() == [-1.0] * 8
+        assert np.isinf(result.deltas).all()
+
+    @pytest.mark.parametrize(
+        "status", [Status.kUnboundedOrInfeasible, Status.kIterationLimit, Status.kTimeLimit, Status.kSolveError, Status.kNotset]
+    )
+    def test_any_other_status_is_a_numerical_failure(self, monkeypatch, capsys, tmp_path, status):
+        _children_report(monkeypatch, status)
+        with pytest.raises(LpNumericalError, match="child LP of x_0"):
+            sb_scores(counterexample_pair()[1])
+        path = tmp_path / "split.json"
+        path.write_text(serialize_instance(counterexample_pair()[1]))
+        assert cli.main(["sb-score", str(path)]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: LP backend failure")
+
+    def test_a_relaxation_optimum_off_f_star_raises(self):
+        inst = gen_set_cover(0, 30, 60, 0.1)
+        f_star = solve_lp(inst).objective
+        lp._ChildLps(inst, f_star * (1 + 1e-12))
+        for off in (f_star * (1 + 2e-9), f_star * (1 - 2e-9), f_star + 1.0):
+            with pytest.raises(LpNumericalError, match="the LP optimum is"):
+                lp._ChildLps(inst, off)
+
+    def test_a_relaxation_that_is_not_optimal_raises(self, monkeypatch):
+        monkeypatch.setattr(lp._ChildLps, "_run", lambda self: Status.kIterationLimit)
+        with pytest.raises(LpNumericalError, match="relaxation's model"):
+            sb_scores(counterexample_pair()[1])
 
 
 class TestProperties:
