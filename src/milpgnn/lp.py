@@ -8,10 +8,10 @@ HiGHS model per instance, built once from the triplets through scipy's
 bundled HiGHS binding, where each child starts hot from the relaxation's
 optimal basis with one variable's bounds replaced.  The model's relaxation
 optimum must agree with ``solve_lp``'s, or it refuses to solve any child.
-``min_norm_solution`` picks the unique least-norm point of the optimal face
-with a primal active-set QP, which raises ``LpNumericalError`` when its
-iteration budget runs out; only the tests check its answer's KKT residual
-(``min_norm_kkt_residual``).
+``min_norm_solution`` picks the unique least-norm point of the optimal face,
+read off the relaxation's duals: one projection when that lands in the face,
+else HiGHS's QP with an enforced stationarity certificate.  Only the tests
+check the answer's full KKT residual (``min_norm_kkt_residual``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 import scipy
-from scipy.optimize import linprog, lsq_linear
+from scipy.optimize import linprog, nnls
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -170,39 +170,49 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
     )
 
 
-class _ChildLps:
-    """The LP relaxation as one HiGHS model, for solving the child LPs of
-    strong branching.
+def _row_ranges(inst: MilpInstance):
+    """``_row_sign``'s rows as ranges: >= rows [b, +inf], <= rows [-inf, b], = rows [b, b]."""
+    sign = _row_sign(inst)
+    return np.where(sign < 0, -np.inf, inst.b), np.where(sign > 0, np.inf, inst.b)
 
-    The model is built once from the triplets, column-wise, with
-    ``_row_sign``'s rows as ranges: >= rows [b, +inf], <= rows [-inf, b],
-    = rows [b, b].  Its relaxation is solved once and its optimal basis
-    kept.  The optimum must agree with ``f_star`` (``solve_lp``'s) within
-    1e-9 relative (absolute below |f_star| = 1), or building raises
-    ``LpNumericalError``.  Each child starts from the kept basis; still, the
-    children of one instance must be solved on a fresh model in a fixed
-    order to repeat bit for bit, since HiGHS keeps state beyond the basis
-    between runs."""
+
+def _highs_model(inst: MilpInstance, cost, lower, upper, row_lower, row_upper, what: str):
+    """A silent HiGHS instance holding min cost'x over row_lower <= Ax <=
+    row_upper, lower <= x <= upper, with A passed column-wise from the
+    triplets; ``what`` names the model in the error raised when HiGHS
+    refuses it."""
+    order = np.argsort(inst.a_cols, kind="stable")
+    model = _highs.HighsLp()
+    model.num_col_, model.num_row_ = inst.n, inst.m
+    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lower, upper
+    model.row_lower_, model.row_upper_ = row_lower, row_upper
+    matrix = model.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = inst.n, inst.m
+    matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(inst.a_cols, minlength=inst.n))])
+    matrix.index_ = inst.a_rows[order]
+    matrix.value_ = inst.a_vals[order]
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        raise LpNumericalError(f"LP backend refused {what}")
+    return highs
+
+
+class _ChildLps:
+    """The LP relaxation as one HiGHS model (``_highs_model``, rows as
+    ``_row_ranges``), for solving the child LPs of strong branching.
+
+    The relaxation is solved once and its optimal basis kept.  The optimum
+    must agree with ``f_star`` (``solve_lp``'s) within 1e-9 relative
+    (absolute below |f_star| = 1), or building raises ``LpNumericalError``.
+    Each child starts from the kept basis; still, the children of one
+    instance must be solved on a fresh model in a fixed order to repeat bit
+    for bit, since HiGHS keeps state beyond the basis between runs."""
 
     def __init__(self, inst: MilpInstance, f_star: float):
-        sign = _row_sign(inst)
-        order = np.argsort(inst.a_cols, kind="stable")
-        model = _highs.HighsLp()
-        model.num_col_, model.num_row_ = inst.n, inst.m
-        model.col_cost_, model.col_lower_, model.col_upper_ = inst.c, inst.lower, inst.upper
-        model.row_lower_ = np.where(sign < 0, -np.inf, inst.b)
-        model.row_upper_ = np.where(sign > 0, np.inf, inst.b)
-        matrix = model.a_matrix_
-        matrix.format_ = _highs.MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = inst.n, inst.m
-        matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(inst.a_cols, minlength=inst.n))])
-        matrix.index_ = inst.a_rows[order]
-        matrix.value_ = inst.a_vals[order]
         self._lower, self._upper = inst.lower, inst.upper
-        self._highs = _highs._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        if self._highs.passModel(model) == _highs.HighsStatus.kError:
-            raise LpNumericalError("LP backend refused the relaxation's model")
+        self._highs = _highs_model(inst, inst.c, inst.lower, inst.upper, *_row_ranges(inst), "the relaxation's model")
         status = self._run()
         if status != _highs.HighsModelStatus.kOptimal:
             raise LpNumericalError(f"LP backend failure on the relaxation's model: {self._highs.modelStatusToString(status)}")
@@ -218,8 +228,9 @@ class _ChildLps:
 
     def objective(self, j: int, lower: float, upper: float) -> float:
         """Optimum of the relaxation with x_j's bounds replaced by [lower,
-        upper]; +inf when that child is infeasible (or unbounded, which as
-        a restriction of a bounded LP it is only numerically)."""
+        upper]; +inf when that child is infeasible.  A child that HiGHS
+        calls unbounded restricts an optimal relaxation, so that status is
+        a tolerance artefact and raises ``LpNumericalError``."""
         if lower > upper:
             return math.inf
         self._highs.setBasis(self._basis)
@@ -231,8 +242,10 @@ class _ChildLps:
             self._highs.changeColBounds(j, self._lower[j], self._upper[j])
         if status == _highs.HighsModelStatus.kOptimal:
             return objective
-        if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kUnbounded):
+        if status == _highs.HighsModelStatus.kInfeasible:
             return math.inf
+        if status == _highs.HighsModelStatus.kUnbounded:
+            raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: unbounded below an optimal relaxation")
         raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: {self._highs.modelStatusToString(status)}")
 
 
@@ -270,8 +283,7 @@ def check_kkt(inst: MilpInstance, x: np.ndarray, duals: LpDuals, override: Bound
     return max(res, float(np.fmax.reduce(np.concatenate(terms), initial=0.0)))
 
 
-class _OptimalFaceInfeasible(RuntimeError):
-    pass
+_FACE_TOL = 1e-9  # duals above it mark the optimal face; stage 1 and the certificate accept within it
 
 
 def _face_constraints(inst: MilpInstance, f_star: float):
@@ -292,108 +304,92 @@ def _face_constraints(inst: MilpInstance, f_star: float):
     return e_mat, e_rhs, g_mat, g_rhs
 
 
-def _min_norm_on_working_set(c_mat: np.ndarray, d: np.ndarray):
-    """argmin ||x||^2 s.t. Cx=d, plus the multipliers; tolerant of rank
-    deficiency via least squares on the normal system."""
-    gram = c_mat @ c_mat.T
-    lam, *_ = np.linalg.lstsq(gram, d, rcond=None)
-    return c_mat.T @ lam, lam
+def _stationarity_residual(inst: MilpInstance, f_star: float, x: np.ndarray) -> float:
+    """Largest entry of x - E' mu - G_active' lam, with lam >= 0 and the
+    active rows those within 1e-8 of their bound at x, minimised by
+    ``nnls`` with mu split into two non-negative parts; it is 0 exactly
+    when x is stationary for min 0.5||x||^2 on ``_face_constraints``."""
+    if inst.n == 0:  # scipy's nnls returns uninitialised values on a matrix with no rows
+        return 0.0
+    e_mat, _, g_mat, g_rhs = _face_constraints(inst, f_star)
+    basis = np.vstack([e_mat, -e_mat, g_mat[g_mat @ x - g_rhs <= 1e-8]]).T
+    lam, _ = nnls(basis, x, maxiter=50 * basis.shape[1])
+    return float(np.max(np.abs(basis @ lam - x), initial=0.0))
 
 
-def _stationarity_residual(c_mat: np.ndarray, n_eq: int, x: np.ndarray) -> float:
-    """Residual of x = C' lam with lam >= 0 on the rows from n_eq on; least
-    squares under the sign bounds find a certificate whenever one exists."""
-    lb = np.full(c_mat.shape[0], -np.inf)
-    lb[n_eq:] = 0.0
-    sol = lsq_linear(c_mat.T, x, bounds=(lb, np.full(c_mat.shape[0], np.inf)))
-    return float(np.max(np.abs(c_mat.T @ sol.x - x), initial=0.0))
+def _stationarity_certified(inst: MilpInstance, f_star: float, x: np.ndarray) -> bool:
+    """True iff x is stationary on the optimal face, within 1e-9 (1 + ||x||_inf)."""
+    return _stationarity_residual(inst, f_star, x) <= _FACE_TOL * (1.0 + float(np.max(np.abs(x), initial=0.0)))
 
 
-def _stationarity_certified(c_mat: np.ndarray, n_eq: int, x: np.ndarray) -> bool:
-    """True iff x is the optimum of the working-set subproblem after all."""
-    return _stationarity_residual(c_mat, n_eq, x) <= 1e-9 * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+def _min_norm_on_working_set(c_mat: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """argmin ||x|| over the least-squares solutions of Cx = d: the
+    projection of 0 onto {Cx = d} when that set is not empty."""
+    return np.linalg.lstsq(c_mat, d, rcond=None)[0]
 
 
-def _ratio_test(g_mat: np.ndarray, g_rhs: np.ndarray, x: np.ndarray, p: np.ndarray, working: list[int]) -> tuple[float, int]:
-    """Longest step alpha <= 1 along p from x that keeps the rows off the
-    working set feasible, and the row that blocks it (-1 if none does).
-
-    g'p comes for every row in one product; only rows off the working set
-    with g'p < -1e-12 can block, and their steps come as one array.  A scan
-    in row order keeps the first step that undercuts the current alpha by
-    more than 1e-14, so near-ties go to the lowest row index."""
-    gp = g_mat @ p
-    gp[working] = 0.0
-    cand = np.flatnonzero(gp < -1e-12)
-    steps = (g_rhs[cand] - g_mat[cand] @ x) / gp[cand]
-    alpha, blocker = 1.0, -1
-    for k, step in zip(cand.tolist(), steps.tolist()):
-        if step < alpha - 1e-14:
-            alpha, blocker = max(step, 0.0), k
-    return alpha, blocker
-
-
-def min_norm_solution(inst: MilpInstance, f_star: float, x0: np.ndarray | None = None) -> np.ndarray:
+def min_norm_solution(
+    inst: MilpInstance, f_star: float, x0: np.ndarray | None = None, duals: LpDuals | None = None
+) -> np.ndarray:
     """Unique minimizer of ||x||_2 over the optimal face
     {Ax o b, l <= x <= u, c'x = f_star}.
 
-    Primal active-set iteration on min 0.5 x'x; ties in the ratio test and
-    the multiplier drop break by lowest row index for determinism.  The
-    ratio test (``_ratio_test``) is one array expression over all rows of
-    the face: it computes the steps of the candidate rows together and
-    scans only those, in row order.
-    """
-    if x0 is None:
+    A feasible x is optimal iff it is complementary to optimal duals
+    (``duals``, else the relaxation is solved here), so the face is the
+    feasible set with each row whose |y_i| > 1e-9 tight and each variable
+    whose z_lower (z_upper) > 1e-9 fixed at that bound.  Stage 1 projects 0
+    onto those equalities; the projection is the answer if it meets every
+    row, finite bound and c'x = f_star within 1e-9 relative.  Otherwise
+    stage 2 solves min 0.5||x||^2 on the face with HiGHS's QP, and a status
+    other than optimal, or an answer without ``_stationarity_certified``,
+    raises ``LpNumericalError``.  ``x0`` is not used; it is kept for callers
+    that pass the relaxation's vertex."""
+    if duals is None:
         outcome = solve_lp(inst)
         if outcome.status != LpStatus.OPTIMAL:
-            raise _OptimalFaceInfeasible("LP relaxation has no optimum")
+            raise ValueError(f"the LP relaxation has no optimum ({outcome.status.value})")
         if abs(outcome.objective - f_star) > 1e-6 * (1.0 + abs(f_star)):
             raise ValueError(f"f_star {f_star} is not the LP optimum {outcome.objective}")
-        x0 = outcome.x
-    e_mat, e_rhs, g_mat, g_rhs = _face_constraints(inst, f_star)
-    x = np.asarray(x0, dtype=float).copy()
-    n_eq = e_mat.shape[0]
-    working: list[int] = []
-    max_iter = 50 * (inst.m + inst.n + g_mat.shape[0] + 1)
+        duals = outcome.duals
+    tight = (inst.senses == Sense.EQ) | (np.abs(duals.y) > _FACE_TOL)
+    at_lower = (duals.z_lower > _FACE_TOL) & np.isfinite(inst.lower)
+    at_upper = (duals.z_upper > _FACE_TOL) & np.isfinite(inst.upper) & ~at_lower
+    fixed = at_lower | at_upper
+    fixed_at = np.where(at_lower, inst.lower, inst.upper)[fixed]
 
-    for _ in range(max_iter):
-        c_mat = np.vstack([e_mat, g_mat[working]]) if working else e_mat
-        d = np.concatenate([e_rhs, g_rhs[working]]) if working else e_rhs
-        target, lam = _min_norm_on_working_set(c_mat, d)
-        p = target - x
-        at_target = np.max(np.abs(p), initial=0.0) <= 1e-9 * (1.0 + np.max(np.abs(x), initial=0.0))
-        if at_target:
-            lam_ineq = lam[n_eq:]
-            negative = np.flatnonzero(lam_ineq < -1e-9)
-            if negative.size == 0:
-                return x
-            # On rank-deficient working sets the plain least-squares
-            # multipliers may look negative although a valid nonnegative
-            # certificate exists; check against all active rows before
-            # dropping anything.
-            active = g_mat @ x - g_rhs <= 1e-8 if g_mat.size else np.zeros(0, dtype=bool)
-            full = np.vstack([e_mat, g_mat[active]]) if active.any() else e_mat
-            if _stationarity_certified(full, n_eq, x):
-                return x
-            # Bland's rule (lowest index) to rule out cycling on degeneracy
-            working.pop(int(negative[0]))
-            continue
-        alpha, blocker = _ratio_test(g_mat, g_rhs, x, p, working)
-        x = x + alpha * p
-        if blocker >= 0:
-            working.append(blocker)
-        working.sort()
-    raise LpNumericalError("active-set QP failed to converge")
+    a = inst.dense_matrix()
+    c_mat = np.vstack([a[tight], np.eye(inst.n)[fixed]])
+    x = _min_norm_on_working_set(c_mat, np.concatenate([inst.b[tight], fixed_at]))
+    scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
+    if (
+        _primal_residual(inst, a @ x, x, inst.lower, inst.upper) <= _FACE_TOL * scale
+        and abs(float(inst.c @ x) - f_star) <= _FACE_TOL * max(1.0, abs(f_star))
+    ):
+        return x
+
+    row_lower, row_upper = _row_ranges(inst)
+    row_lower[tight] = row_upper[tight] = inst.b[tight]
+    lower, upper = inst.lower.copy(), inst.upper.copy()
+    lower[fixed] = upper[fixed] = fixed_at
+    highs = _highs_model(inst, np.zeros(inst.n), lower, upper, row_lower, row_upper, "the least-norm QP")
+    for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+        highs.setOptionValue(option, 1e-10)
+    diag = np.arange(inst.n)  # the identity Hessian as (dim, nonzeros, format, start, index, value)
+    highs.passHessian(inst.n, inst.n, _highs.HessianFormat.kTriangular.value, np.append(diag, inst.n), diag, np.ones(inst.n))
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise LpNumericalError(f"least-norm QP failure: {highs.modelStatusToString(status)}")
+    x = np.asarray(highs.getSolution().col_value, dtype=float)
+    if not _stationarity_certified(inst, f_star, x):
+        raise LpNumericalError("least-norm QP answer is not stationary on the optimal face")
+    return x
 
 
 def min_norm_kkt_residual(inst: MilpInstance, f_star: float, x: np.ndarray) -> float:
     """KKT residual of the least-norm QP at x: stationarity of 0.5||x||^2
-    against the face constraints, plus feasibility and complementarity."""
+    against the face constraints, plus feasibility."""
     e_mat, e_rhs, g_mat, g_rhs = _face_constraints(inst, f_star)
     res = float(np.max(np.abs(e_mat @ x - e_rhs), initial=0.0))
-    slack = g_mat @ x - g_rhs if g_mat.size else np.zeros(0)
-    res = max(res, float(np.max(-slack, initial=0.0)))
-    active = slack <= 1e-8 if g_mat.size else np.zeros(0, dtype=bool)
-    c_mat = np.vstack([e_mat, g_mat[active]]) if active.any() else e_mat
-    # stationarity: x = E' mu + G_active' lam with lam >= 0
-    return max(res, _stationarity_residual(c_mat, e_mat.shape[0], x))
+    res = max(res, float(np.max(g_rhs - g_mat @ x, initial=0.0)))
+    return max(res, _stationarity_residual(inst, f_star, x))

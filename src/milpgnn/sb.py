@@ -95,7 +95,7 @@ def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
     if relax.status == LpStatus.UNBOUNDED:
         raise RelaxationUnboundedError("LP relaxation unbounded; SB undefined")
     f_star = relax.objective
-    x_star = min_norm_solution(inst, f_star, x0=relax.x)
+    x_star = min_norm_solution(inst, f_star, duals=relax.duals)
 
     n = inst.n
     scores = np.zeros(n)

@@ -5,10 +5,10 @@ candidate active sets, and the minimum-norm point on the optimal face from a
 dense pseudo-inverse projection.  Exponential in problem size by design —
 only for small instances.
 
-The LP-certificate references compute the primal and KKT residuals, the
-optimal-face system and the active-set ratio test row by row and variable by
-variable, with the package's own sign and ordering conventions, so the array
-code can be compared with them bit for bit.
+The LP-certificate references compute the primal and KKT residuals and the
+optimal-face system row by row and variable by variable, with the package's
+own sign and ordering conventions, so the array code can be compared with
+them bit for bit.
 
 The solved-path strong-branching reference is the one exception to the
 first rule: it takes the package's relaxation and least-norm point and then
@@ -237,23 +237,6 @@ def face_constraints(inst: MilpInstance, f_star: float):
     return e_mat, np.asarray(e_rhs), g_mat, np.asarray(g_rhs)
 
 
-def ratio_test(g_mat, g_rhs, x, p, working):
-    """The active-set ratio test row by row: each row off the working set
-    that p moves towards gives a step, and the first step that undercuts
-    the current alpha by more than 1e-14 wins."""
-    alpha, blocker = 1.0, -1
-    for k in range(g_mat.shape[0]):
-        if k in working:
-            continue
-        gp = g_mat[k] @ p
-        if gp < -1e-12:
-            step = (g_rhs[k] - g_mat[k] @ x) / gp
-            if step < alpha - 1e-14:
-                alpha = max(step, 0.0)
-                blocker = k
-    return alpha, blocker
-
-
 # --------------------------------------------------------------------------
 # strong branching with every child LP solved
 
@@ -264,7 +247,7 @@ def sb_scores_solved(inst: MilpInstance, rule):
     relax = solve_lp(inst)
     assert relax.status == LpStatus.OPTIMAL
     f_star = relax.objective
-    x_star = min_norm_solution(inst, f_star, x0=relax.x)
+    x_star = min_norm_solution(inst, f_star, duals=relax.duals)
     scores = np.zeros(inst.n)
     deltas = np.zeros((inst.n, 2))
     for j in range(inst.n):

@@ -405,7 +405,7 @@ def _raising(exc):
 
 
 def _qp_fails(monkeypatch):
-    monkeypatch.setattr(cli, "sb_scores", _raising(lp.LpNumericalError("active-set QP failed to converge")))
+    monkeypatch.setattr(cli, "sb_scores", _raising(lp.LpNumericalError("least-norm QP failure: Iteration limit reached")))
 
 
 def _training_diverges(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -190,7 +191,9 @@ def _children_report(monkeypatch, status):
 
 
 class TestChildLpStatuses:
-    """The child model's statuses map as linprog's do in ``solve_lp``."""
+    """The child model's statuses map as linprog's do in ``solve_lp``,
+    except that an unbounded child of an optimal relaxation is a numerical
+    failure."""
 
     def test_optimal_gives_the_objective(self, monkeypatch):
         inst = counterexample_pair()[1]
@@ -201,15 +204,15 @@ class TestChildLpStatuses:
         _children_report(monkeypatch, Status.kOptimal)
         assert np.abs(sb_scores(inst).scores - np.array([0.25] * 6 + [0.0, 0.0])).max() <= 1e-9
 
-    @pytest.mark.parametrize("status", [Status.kInfeasible, Status.kUnbounded])
-    def test_infeasible_and_unbounded_score_the_sentinel(self, monkeypatch, status):
-        _children_report(monkeypatch, status)
+    def test_infeasible_scores_the_sentinel(self, monkeypatch):
+        _children_report(monkeypatch, Status.kInfeasible)
         result = sb_scores(counterexample_pair()[1])
         assert result.scores.tolist() == [-1.0] * 8
         assert np.isinf(result.deltas).all()
 
     @pytest.mark.parametrize(
-        "status", [Status.kUnboundedOrInfeasible, Status.kIterationLimit, Status.kTimeLimit, Status.kSolveError, Status.kNotset]
+        "status",
+        [Status.kUnboundedOrInfeasible, Status.kIterationLimit, Status.kTimeLimit, Status.kSolveError, Status.kNotset, Status.kUnbounded],
     )
     def test_any_other_status_is_a_numerical_failure(self, monkeypatch, capsys, tmp_path, status):
         _children_report(monkeypatch, status)
@@ -221,6 +224,14 @@ class TestChildLpStatuses:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: LP backend failure")
+
+    def test_unbounded_children_of_the_benchmark_fault_input_exit_4(self, capsys):
+        # HiGHS calls the up child of x_3 unbounded under its optimal relaxation
+        path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "inputs", "qp_nonconvergence.json")
+        assert cli.main(["sb-score", path]) == cli.EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: LP backend failure on the child LP of x_3: unbounded below an optimal relaxation\n"
 
     def test_a_relaxation_optimum_off_f_star_raises(self):
         inst = gen_set_cover(0, 30, 60, 0.1)
@@ -234,6 +245,22 @@ class TestChildLpStatuses:
         monkeypatch.setattr(lp._ChildLps, "_run", lambda self: Status.kIterationLimit)
         with pytest.raises(LpNumericalError, match="relaxation's model"):
             sb_scores(counterexample_pair()[1])
+
+
+class TestFormerQpFault:
+    """gen_random(4208133) made the former active-set least-norm QP cycle
+    until its iteration budget ran out, so ``sb_scores`` raised
+    ``LpNumericalError``; about 1 set cover 30x60 in 600 did the same."""
+
+    def test_scores_it_like_the_solved_path(self, capsys, tmp_path):
+        inst = gen_random(4208133)
+        result = sb_scores(inst)
+        assert np.linalg.norm(result.x_star) == pytest.approx(45.6322633477, rel=1e-9)
+        assert np.abs(result.scores - sb_scores_solved(inst, PRODUCT_RULE).scores).max() <= 1e-9
+        path = tmp_path / "fault.json"
+        path.write_text(serialize_instance(inst))
+        assert cli.main(["sb-score", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestProperties:
