@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -426,6 +427,7 @@ def _out_dir(text: str) -> str:
     return text
 
 
+@functools.cache  # built once per process: parse_args keeps no state on it
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="milpgnn", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -1,9 +1,9 @@
 """Color refinement on the bipartite MILP graph, stable partitions, and the
 message-passing tractability check.
 
-A color is the id of an integer signature row, assigned by sorting all rows
-of a round at once (``np.unique`` over rows), so equal ids mean equal
-signatures and the scheme is collision-free by construction.  A round's
+A color is the id of an integer signature row: all rows of a round are
+ranked at once by one lexsort, one stable pass per column, so equal ids mean
+equal signatures and the scheme is collision-free by construction.  A round's
 signature is the node's own color followed by the sorted multiset of
 (neighbor color, edge weight) keys, padded to the largest degree.  The
 graph is the instance itself.  Node features and edge weights enter as
@@ -46,8 +46,15 @@ def _group(colors) -> tuple[tuple[int, ...], ...]:
 
 
 def _ids(rows: np.ndarray) -> np.ndarray:
-    """Dense id of each row; equal ids iff equal rows."""
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    """Dense lexicographic rank of each row, equal to ``np.unique(rows,
+    axis=0, return_inverse=True)[1]``: one lexsort, first column as the
+    primary key, and a new id at each sorted row unlike the one before."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = rows[order]
+    ids = np.zeros(len(rows), dtype=np.intp)
+    ids[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    ids[order] = np.cumsum(ids)
+    return ids
 
 
 def _disjoint(ids_a: np.ndarray, ids_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

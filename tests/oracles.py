@@ -18,7 +18,8 @@ that skips the children of a variable integral at that point.
 The color-refinement references intern exact signature tuples through a
 dictionary, node by node and pair by pair, and find tractability witnesses
 by a nested loop over every block entry.  They call nothing in the package's
-``wl`` or ``fwl`` modules.
+``wl`` or ``fwl`` modules.  ``unique_row_ids`` is numpy's own row numbering,
+which the package's row ranking must equal bit for bit.
 
 The network references at the end run the 2-FGNN one graph at a time on the
 explicit concatenated pair tensors, recompute each ReLU mask from the layer
@@ -286,6 +287,12 @@ def finite_difference_grad(fn, arrays, h=1e-5, samples=40, seed=0):
 
 # --------------------------------------------------------------------------
 # color refinement: dictionary interning of exact signature tuples
+
+
+def unique_row_ids(rows: np.ndarray) -> np.ndarray:
+    """Dense lexicographic rank of each row of an integer matrix, from
+    numpy's sort of the rows as one structured value each."""
+    return np.unique(rows, axis=0, return_inverse=True)[1]
 
 
 def _fkey(v: float):

@@ -376,6 +376,36 @@ class TestOneRefinementPerCommand:
         assert sorted(calls) == ["fwl", "wl", "wl", "wl"]
 
 
+def test_no_state_carries_over_between_calls(capsys, tmp_path, pair_files):
+    """``main`` parses every call with one parser per process.  Each call of
+    one sequence gives what it gives on a freshly built parser: an option
+    given once, or left unset (SUPPRESS), is not carried into the next call."""
+    split = pair_files[1]
+    calls = [
+        ["sb-score", split, "--rule", "linear:2"],
+        ["sb-score", split, "--rule", "linear:0.3"],
+        ["sb-score", split],
+        ["generate", "--family", "random", "--nnz", "3", "--count", "2", "--out", str(tmp_path / "random")],
+        ["generate", "--family", "set-cover", "--density", "0.5", "--count", "2", "--out", str(tmp_path / "set-cover")],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    in_sequence = [outcome(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_sequence == fresh
+    assert [code for code, _, _ in in_sequence] == [1, 0, 0, 0, 0]
+    product = sb_scores(counterexample_pair()[1]).scores
+    assert json.loads(in_sequence[1][1])["scores"] != product.tolist() == json.loads(in_sequence[2][1])["scores"]
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--help"])

@@ -1,11 +1,19 @@
-"""``sb-score``'s outputs on a small corpus, pinned against a committed file.
+"""CLI outputs on a small corpus, pinned against a committed file.
 
-The corpus is built from seeds when the test runs: the counterexample pair,
-the three-variable example, four random 4x8 instances, four set covers 4x6
-and one set cover 30x60.  ``sb_corpus.json`` records, for each instance and
-each of the rules ``product`` and ``linear:0.3``, the exit code and, on
-success, f*, x* and the scores.  Exit codes match exactly and the numbers
-within 1e-9 (a rewrite of the LP path may move them in the last digits).
+The corpus is built from seeds when the test runs.  ``sb-score`` runs on
+the counterexample pair, the three-variable example, four random 4x8
+instances, four set covers 4x6 and one set cover 30x60.  ``sb_corpus.json``
+records, for each instance and each of the rules ``product`` and
+``linear:0.3``, the exit code and, on success, f*, x* and the scores.
+Exit codes match exactly and the numbers within 1e-9 (a rewrite of the LP
+path may move them in the last digits).
+
+``check-tractability`` and ``fwl2-compare`` run on the pair, the
+three-variable example, the set covers, instances with no constraint, with
+no variable and with an empty row, and cycle-cover pairs of 16, 20 and 24
+variables: one pair with equal cycle-length multisets, one with different
+ones, and a row-permuted twin.  Their exit code and stdout must match byte
+for byte, since refinement compares numbers exactly.
 
 Regenerate the file after a change that is meant to move the outputs, and
 say why in CHANGES.md:
@@ -14,9 +22,11 @@ say why in CHANGES.md:
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -24,13 +34,16 @@ import numpy as np
 import pytest
 
 from milpgnn.cli import main
-from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
-from milpgnn.instance import serialize_instance
+from milpgnn.gen import _covering_instance, counterexample_pair, gen_random, gen_set_cover
+from milpgnn.instance import MilpInstance, Sense, permute, serialize_instance
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 EXPECTED = os.path.join(HERE, "sb_corpus.json")
 RULES = ("product", "linear:0.3")
 TOL = 1e-9
+# cycle lengths of each cycle-cover size: the first instance's, and the other
+# instance's in the pair with different multisets
+CYCLES = {16: ([3, 5, 8], [2, 6, 8]), 20: ([4, 7, 9], [5, 5, 10]), 24: ([2, 3, 9, 10], [6, 8, 10])}
 
 
 def corpus() -> dict:
@@ -45,29 +58,101 @@ def corpus() -> dict:
     return insts
 
 
-def sb_outputs(directory: str) -> dict:
-    """{instance: {rule: record}} from running ``sb-score`` in-process."""
-    out = {}
-    for name, inst in corpus().items():
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w") as fh:
+def _cycle_cover(rng: random.Random, lengths: list[int]) -> MilpInstance:
+    """Covering rows x_a + x_b >= 1 along cycles of the given lengths, over
+    shuffled variable labels and in shuffled row order."""
+    n = sum(lengths)
+    labels, pairs = rng.sample(range(n), n), []
+    for start, size in zip(np.cumsum([0] + lengths), lengths):
+        cycle = labels[start : start + size]
+        pairs += [(cycle[k], cycle[(k + 1) % size]) for k in range(size)]
+    rng.shuffle(pairs)
+    return _covering_instance(pairs)
+
+
+def refinement_corpus() -> tuple[dict, list[tuple[str, str]]]:
+    """The instances ``check-tractability`` runs on, and the pairs of their
+    names ``fwl2-compare`` runs on."""
+    from test_wl import no_edges
+
+    insts = {name: inst for name, inst in corpus().items() if not name.startswith("random")}
+    insts["three_var_swapped"] = permute(insts["three_var"], [0, 1], [2, 1, 0])
+    insts["set_cover_30x60_0_rows_reversed"] = permute(insts["set_cover_30x60_0"], list(range(29, -1, -1)), list(range(60)))
+    insts |= {"no_constraint": no_edges(0, 3), "no_variable": no_edges(2, 0)}
+    three_var = insts["three_var"]  # with a third, empty row 0 >= -1
+    insts["empty_row"] = dataclasses.replace(three_var, m=3, b=[*three_var.b, -1.0], senses=[*three_var.senses, Sense.GE])
+    insts["empty_row_rows_rotated"] = permute(insts["empty_row"], [1, 2, 0], [0, 1, 2])
+    pairs = [
+        ("cycle8", "split"),
+        ("three_var", "three_var_swapped"),
+        ("set_cover_4x6_0", "set_cover_4x6_1"),
+        ("set_cover_4x6_2", "set_cover_4x6_3"),
+        ("set_cover_30x60_0", "set_cover_30x60_0_rows_reversed"),
+        ("no_constraint", "no_constraint"),
+        ("no_variable", "no_variable"),
+        ("empty_row", "empty_row_rows_rotated"),
+    ]
+    for size, (lengths, other) in CYCLES.items():
+        rng = random.Random(f"corpus-cycles-{size}")
+        a = _cycle_cover(rng, lengths)
+        twin = permute(a, rng.sample(range(size), size), list(range(size)))
+        for kind, b in (("equal", _cycle_cover(rng, rng.sample(lengths, len(lengths)))), ("different", _cycle_cover(rng, other)), ("twin", twin)):
+            insts[f"cycles_{size}_{kind}_a"], insts[f"cycles_{size}_{kind}_b"] = a, b
+            pairs.append((f"cycles_{size}_{kind}_a", f"cycles_{size}_{kind}_b"))
+    return insts, pairs
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """``main``'s exit code and stdout, run in-process."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+def _write(directory: str, insts: dict) -> dict:
+    paths = {name: os.path.join(directory, f"{name}.json") for name in insts}
+    for name, inst in insts.items():
+        with open(paths[name], "w") as fh:
             fh.write(serialize_instance(inst))
+    return paths
+
+
+def sb_outputs(directory: str) -> dict:
+    """{instance: {rule: record}} from running ``sb-score``."""
+    out = {}
+    for name, path in _write(directory, corpus()).items():
         out[name] = {}
         for rule in RULES:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["sb-score", path, "--rule", rule])
+            code, stdout = _run(["sb-score", path, "--rule", rule])
             record = {"exit": code}
             if code == 0:
-                doc = json.loads(stdout.getvalue())
+                doc = json.loads(stdout)
                 record |= {key: doc[key] for key in ("f_star", "x_star", "scores")}
             out[name][rule] = record
     return out
 
 
+def refinement_outputs(directory: str) -> dict:
+    """{command: {instance or 'a|b': {exit, stdout}}} from running
+    ``check-tractability`` and ``fwl2-compare``."""
+    insts, pairs = refinement_corpus()
+    paths = _write(directory, insts)
+    record = lambda argv: dict(zip(("exit", "stdout"), _run(argv)))
+    return {
+        "check-tractability": {name: record(["check-tractability", path]) for name, path in paths.items()},
+        "fwl2-compare": {f"{a}|{b}": record(["fwl2-compare", paths[a], paths[b]]) for a, b in pairs},
+    }
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return sb_outputs(str(tmp_path_factory.mktemp("sb_corpus")))
+
+
+@pytest.fixture(scope="module")
+def refined(tmp_path_factory):
+    return refinement_outputs(str(tmp_path_factory.mktemp("refinement_corpus")))
 
 
 @pytest.fixture(scope="module")
@@ -77,14 +162,18 @@ def expected():
 
 
 def test_the_file_pins_the_whole_corpus(expected):
-    assert sorted(expected) == sorted(corpus())
-    assert all(sorted(records) == sorted(RULES) for records in expected.values())
+    insts, pairs = refinement_corpus()
+    assert sorted(expected) == ["check-tractability", "fwl2-compare", "sb-score"]
+    assert sorted(expected["sb-score"]) == sorted(corpus())
+    assert all(sorted(records) == sorted(RULES) for records in expected["sb-score"].values())
+    assert sorted(expected["check-tractability"]) == sorted(insts)
+    assert sorted(expected["fwl2-compare"]) == sorted(f"{a}|{b}" for a, b in pairs)
 
 
 @pytest.mark.parametrize("name", sorted(corpus()))
 @pytest.mark.parametrize("rule", RULES)
 def test_sb_score_matches_the_pinned_output(outputs, expected, name, rule):
-    got, want = outputs[name][rule], expected[name][rule]
+    got, want = outputs[name][rule], expected["sb-score"][name][rule]
     assert got.keys() == want.keys()
     assert got["exit"] == want["exit"]
     if want["exit"] == 0:
@@ -94,9 +183,16 @@ def test_sb_score_matches_the_pinned_output(outputs, expected, name, rule):
             assert np.abs(np.subtract(got[key], want[key])).max(initial=0.0) <= TOL, key
 
 
+@pytest.mark.parametrize("command", ["check-tractability", "fwl2-compare"])
+def test_refinement_matches_the_pinned_output(refined, expected, command):
+    got, want = refined[command], expected[command]
+    assert sorted(got) == sorted(want)
+    assert [name for name in sorted(want) if got[name] != want[name]] == []
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as directory:
-        outputs = sb_outputs(directory)
+        outputs = {"sb-score": sb_outputs(directory)} | refinement_outputs(directory)
     with open(EXPECTED, "w") as fh:
         json.dump(outputs, fh, indent=1)
         fh.write("\n")

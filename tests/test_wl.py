@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from milpgnn import fwl, wl
@@ -265,6 +266,28 @@ class TestAgainstOracle:
         assert is_mp_tractable(inst) == (False, (0, 0, 0, 0, 0, 5))
         for inst in (inst, *counterexample_pair()):
             assert is_mp_tractable(inst)[1] == oracles.mp_tractability_witness(inst)
+
+
+@st.composite
+def signature_rows(draw) -> np.ndarray:
+    """int64 matrices as refinement ranks them, tie-heavy: rows repeated from
+    a small pool over few values, negative ones included, with -1 padding at
+    the end of rows; one column, zero columns and zero rows among them."""
+    cols = draw(st.integers(0, 8))
+    values = st.sampled_from(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=3)) + [-1, 0, 1])
+    pool = draw(hnp.arrays(np.int64, (draw(st.integers(1, 4)), cols), elements=values))
+    rows = pool[draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))]
+    pad = np.array(draw(st.lists(st.integers(0, cols), min_size=len(rows), max_size=len(rows))), dtype=np.int64)
+    rows[np.arange(cols) >= cols - pad[:, None]] = -1
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=signature_rows())
+def test_row_ids_equal_numpys_unique_bitwise(rows):
+    got, want = wl._ids(rows), oracles.unique_row_ids(rows)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
 
 
 def no_edges(m, n, c=None, b=None) -> MilpInstance:
