@@ -15,6 +15,14 @@ variables: one pair with equal cycle-length multisets, one with different
 ones, and a row-permuted twin.  Their exit code and stdout must match byte
 for byte, since refinement compares numbers exactly.
 
+``reproduce-counterexample --seed 0`` is pinned by its exit code and its
+report: booleans, integers and lists exactly, floats within 1e-9.
+``generate`` is pinned by the exact bytes of every file it writes, manifest
+included, for the families ``random`` (3x5 with 8 nonzeros), ``set-cover``
+and ``counterexample``.  ``train`` is pinned by the exit code and the
+SHA-256 of ``params.bin`` and ``curve.csv`` after a short MP-GNN run on the
+pair and again after one ``--resume`` chunk.
+
 Regenerate the file after a change that is meant to move the outputs, and
 say why in CHANGES.md:
 
@@ -23,6 +31,7 @@ say why in CHANGES.md:
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -44,6 +53,13 @@ TOL = 1e-9
 # cycle lengths of each cycle-cover size: the first instance's, and the other
 # instance's in the pair with different multisets
 CYCLES = {16: ([3, 5, 8], [2, 6, 8]), 20: ([4, 7, 9], [5, 5, 10]), 24: ([2, 3, 9, 10], [6, 8, 10])}
+GENERATE = {
+    "random": ["--count", "3", "--seed", "11", "--m", "3", "--n", "5", "--nnz", "8"],
+    "set-cover": ["--count", "2", "--seed", "5", "--m", "4", "--n", "6", "--density", "0.5"],
+    "counterexample": ["--seed", "3"],
+}
+TRAIN = ["train", "--arch", "mpgnn", "--data", "counterexample", "--dim", "8", "--layers", "2", "--epochs", "3", "--lr", "1e-3"]
+TRAIN_FILES = ("params.bin", "curve.csv")
 
 
 def corpus() -> dict:
@@ -145,6 +161,55 @@ def refinement_outputs(directory: str) -> dict:
     }
 
 
+def reproduce_output() -> dict:
+    """Exit code and parsed report of ``reproduce-counterexample --seed 0``."""
+    code, stdout = _run(["reproduce-counterexample", "--seed", "0"])
+    return {"exit": code, "report": json.loads(stdout) if code == 0 else stdout}
+
+
+def generate_outputs(directory: str) -> dict:
+    """{family: {exit, files: {name: text}}} from running ``generate``."""
+    out = {}
+    for family, argv in GENERATE.items():
+        path = os.path.join(directory, family)
+        code, _ = _run(["generate", "--family", family, *argv, "--out", path])
+        files = {}
+        for name in sorted(os.listdir(path)) if os.path.isdir(path) else []:
+            with open(os.path.join(path, name), "rb") as fh:
+                files[name] = fh.read().decode()
+        out[family] = {"exit": code, "files": files}
+    return out
+
+
+def _sha256(path: str) -> str | None:
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def train_outputs(directory: str) -> dict:
+    """{stage: {exit, file: SHA-256}} after a first ``train`` chunk and after
+    one ``--resume`` chunk into the same --out."""
+    path = os.path.join(directory, "train")
+    out = {}
+    for stage, extra in (("first", []), ("resumed", ["--resume"])):
+        code, _ = _run([*TRAIN, *extra, "--out", path])
+        out[stage] = {"exit": code} | {name: _sha256(os.path.join(path, name)) for name in TRAIN_FILES}
+    return out
+
+
+def _close(got, want) -> bool:
+    """got equals want, except that floats may differ by up to TOL."""
+    if isinstance(want, float) and type(got) in (float, int):
+        return abs(got - want) <= TOL
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(map(_close, got, want))
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(_close(got[k], want[k]) for k in want)
+    return type(got) is type(want) and got == want
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return sb_outputs(str(tmp_path_factory.mktemp("sb_corpus")))
@@ -163,7 +228,9 @@ def expected():
 
 def test_the_file_pins_the_whole_corpus(expected):
     insts, pairs = refinement_corpus()
-    assert sorted(expected) == ["check-tractability", "fwl2-compare", "sb-score"]
+    assert sorted(expected) == ["check-tractability", "fwl2-compare", "generate", "reproduce-counterexample", "sb-score", "train"]
+    assert sorted(expected["generate"]) == sorted(GENERATE)
+    assert sorted(expected["train"]) == ["first", "resumed"]
     assert sorted(expected["sb-score"]) == sorted(corpus())
     assert all(sorted(records) == sorted(RULES) for records in expected["sb-score"].values())
     assert sorted(expected["check-tractability"]) == sorted(insts)
@@ -190,9 +257,31 @@ def test_refinement_matches_the_pinned_output(refined, expected, command):
     assert [name for name in sorted(want) if got[name] != want[name]] == []
 
 
+def test_reproduce_counterexample_matches_the_pinned_output(expected):
+    got, want = reproduce_output(), expected["reproduce-counterexample"]
+    assert got["exit"] == want["exit"]
+    bad = [key for key in want["report"] if not _close(got["report"].get(key), want["report"][key])]
+    assert sorted(got["report"]) == sorted(want["report"])
+    assert bad == []
+
+
+def test_generate_writes_the_pinned_bytes(tmp_path, expected):
+    got, want = generate_outputs(str(tmp_path)), expected["generate"]
+    for family in GENERATE:
+        assert got[family]["exit"] == want[family]["exit"], family
+        assert sorted(got[family]["files"]) == sorted(want[family]["files"]), family
+        assert [name for name, text in want[family]["files"].items() if got[family]["files"][name] != text] == [], family
+
+
+def test_train_and_resume_write_the_pinned_files(tmp_path, expected):
+    assert train_outputs(str(tmp_path)) == expected["train"]
+
+
 def regenerate() -> None:
     with tempfile.TemporaryDirectory() as directory:
         outputs = {"sb-score": sb_outputs(directory)} | refinement_outputs(directory)
+        outputs |= {"reproduce-counterexample": reproduce_output(), "generate": generate_outputs(directory)}
+        outputs["train"] = train_outputs(directory)
     with open(EXPECTED, "w") as fh:
         json.dump(outputs, fh, indent=1)
         fh.write("\n")
