@@ -12,7 +12,7 @@ from .instance import (
     permute,
     serialize_instance,
 )
-from .lp import BoundOverride, LpOutcome, LpStatus, min_norm_solution, solve_lp
+from .lp import LpOutcome, LpStatus, min_norm_solution, solve_lp
 from .sb import PRODUCT_RULE, SbScores, ScoreRule, sb_scores
 from .wl import is_mp_tractable, stable_partition, wl_indistinguishable
 from .fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
@@ -28,7 +28,6 @@ __all__ = [
     "parse_instance",
     "permute",
     "serialize_instance",
-    "BoundOverride",
     "LpOutcome",
     "LpStatus",
     "min_norm_solution",

@@ -118,25 +118,23 @@ def gen_random(seed: int, m: int = 6, n: int = 20, nnz: int = 60) -> MilpInstanc
     )
 
 
-def _covering_instance(pairs: list[tuple[int, int]]) -> MilpInstance:
-    rows, cols, vals = [], [], []
-    for i, (j1, j2) in enumerate(pairs):
-        rows += [i, i]
-        cols += [j1, j2]
-        vals += [1.0, 1.0]
-    k = len(pairs)
+def _covering_instance(rows: list, n: int) -> MilpInstance:
+    """min 1'x over x in {0, 1}^n such that each row covers at least one of
+    its columns: row i reads sum of x_j over j in rows[i] >= 1."""
+    m = len(rows)
+    r_idx = np.array([i for i, cols in enumerate(rows) for _ in cols], dtype=np.int64)
     return MilpInstance(
-        m=k,
-        n=k,
-        c=np.ones(k),
-        b=np.ones(k),
-        senses=np.full(k, Sense.GE, dtype=np.int8),
-        lower=np.zeros(k),
-        upper=np.ones(k),
-        integer=np.ones(k, dtype=bool),
-        a_rows=np.array(rows),
-        a_cols=np.array(cols),
-        a_vals=np.array(vals),
+        m=m,
+        n=n,
+        c=np.ones(n),
+        b=np.ones(m),
+        senses=np.full(m, Sense.GE, dtype=np.int8),
+        lower=np.zeros(n),
+        upper=np.ones(n),
+        integer=np.ones(n, dtype=bool),
+        a_rows=r_idx,
+        a_cols=np.array([j for cols in rows for j in cols], dtype=np.int64),
+        a_vals=np.ones(len(r_idx)),
     )
 
 
@@ -144,8 +142,8 @@ def counterexample_pair() -> tuple[MilpInstance, MilpInstance]:
     """Two 8-variable covering problems: an 8-cycle, and two triangles plus a
     2-cycle.  Node-level refinement cannot tell them apart although their
     branching scores differ."""
-    cycle8 = _covering_instance([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)])
-    split = _covering_instance([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7), (7, 6)])
+    cycle8 = _covering_instance([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)], 8)
+    split = _covering_instance([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7), (7, 6)], 8)
     return cycle8, split
 
 
@@ -161,27 +159,14 @@ def gen_set_cover(seed: int, rows: int, cols: int, density: float) -> MilpInstan
     if rows and not cols:
         raise ValueError("a set-cover instance with rows needs at least one column to cover them")
     rng = PortableRng(seed)
-    r_idx, c_idx = [], []
-    for i in range(rows):
+    covers = []
+    for _ in range(rows):
         while True:
             picked = [j for j in range(cols) if rng.uniform() < density]
             if picked:
                 break
-        r_idx += [i] * len(picked)
-        c_idx += picked
-    return MilpInstance(
-        m=rows,
-        n=cols,
-        c=np.ones(cols),
-        b=np.ones(rows),
-        senses=np.full(rows, Sense.GE, dtype=np.int8),
-        lower=np.zeros(cols),
-        upper=np.ones(cols),
-        integer=np.ones(cols, dtype=bool),
-        a_rows=np.array(r_idx, dtype=np.int64),
-        a_cols=np.array(c_idx, dtype=np.int64),
-        a_vals=np.ones(len(r_idx)),
-    )
+        covers.append(picked)
+    return _covering_instance(covers, cols)
 
 
 # gen_training_set gives up after this many rejections in a row.  Over 400

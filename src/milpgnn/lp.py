@@ -1,12 +1,13 @@
 """LP relaxations and the minimal-l2-norm optimal solution.
 
 ``solve_lp`` relaxes integrality and solves with HiGHS (deterministic dual
-simplex via scipy's ``linprog``), optionally with a single variable's bounds
-replaced, and reports the answer's KKT residual.  Strong branching solves
-the relaxation through it.  Its child LPs run on ``_ChildLps`` instead: one
-HiGHS model per instance, built once from the triplets through scipy's
-bundled HiGHS binding, where each child starts hot from the relaxation's
-optimal basis with one variable's bounds replaced.  The model's relaxation
+simplex via scipy's ``linprog``), and reports the answer's KKT residual.
+Every function here reads the bounds from the instance, so an LP with other
+bounds is another ``MilpInstance``.  Strong branching solves the relaxation
+through ``solve_lp``.  Its child LPs run on ``_ChildLps`` instead: one HiGHS
+model per instance, built once from the triplets through scipy's bundled
+HiGHS binding, where each child starts hot from the relaxation's optimal
+basis with one variable's bounds replaced.  The model's relaxation
 optimum must agree with ``solve_lp``'s, or it refuses to solve any child.
 ``min_norm_solution`` picks the unique least-norm point of the optimal face,
 read off the relaxation's duals: one projection when that lands in the face,
@@ -37,7 +38,6 @@ from .instance import MilpInstance, Sense
 __all__ = [
     "LpStatus",
     "LpOutcome",
-    "BoundOverride",
     "LpNumericalError",
     "solve_lp",
     "check_kkt",
@@ -54,16 +54,6 @@ class LpStatus(Enum):
 
 class LpNumericalError(RuntimeError):
     """The backend failed to converge on this instance."""
-
-
-@dataclass(frozen=True)
-class BoundOverride:
-    """Replacement bounds for a single variable.  An empty interval is legal
-    and simply yields an infeasible LP."""
-
-    j: int
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -90,33 +80,19 @@ class LpOutcome:
     kkt_residual: float = 0.0
 
 
-def _effective_bounds(inst: MilpInstance, override: BoundOverride | None):
-    lower = inst.lower.copy()
-    upper = inst.upper.copy()
-    if override is not None:
-        if not 0 <= override.j < inst.n:
-            raise IndexError(f"override index {override.j} out of range")
-        lower[override.j] = override.lower
-        upper[override.j] = override.upper
-    return lower, upper
-
-
 def _row_sign(inst: MilpInstance) -> np.ndarray:
     """+1 on >= rows, -1 on <= rows, 0 on = rows: inequality rows read sign * (Ax - b) >= 0."""
     return np.select([inst.senses == Sense.GE, inst.senses == Sense.LE], [1.0, -1.0], 0.0)
 
 
-def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOutcome:
-    """Solve the LP relaxation (integrality ignored), optionally with one
-    variable's bounds replaced."""
-    lower, upper = _effective_bounds(inst, override)
-    if np.any(lower > upper):
-        return LpOutcome(status=LpStatus.INFEASIBLE)
+def solve_lp(inst: MilpInstance) -> LpOutcome:
+    """Solve the LP relaxation (integrality ignored) within the instance's
+    bounds."""
     if inst.n == 0:
         # Nothing to solve: the rows read 0 o b_i, and when all of them hold
         # the empty point with zero multipliers is optimal.
         x = np.zeros(0)
-        if _primal_residual(inst, np.zeros(inst.m), x, lower, upper) > 0.0:
+        if _primal_residual(inst, np.zeros(inst.m), x) > 0.0:
             return LpOutcome(status=LpStatus.INFEASIBLE)
         return LpOutcome(status=LpStatus.OPTIMAL, objective=0.0, x=x, duals=LpDuals(np.zeros(inst.m), x, x))
 
@@ -135,7 +111,7 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
         b_ub=b_ub,
         A_eq=a_eq,
         b_eq=b_eq,
-        bounds=list(zip(lower, upper)),
+        bounds=list(zip(inst.lower, inst.upper)),
         method="highs",
     )
     if res.status == 2:
@@ -158,8 +134,8 @@ def solve_lp(inst: MilpInstance, override: BoundOverride | None = None) -> LpOut
     z_upper = np.maximum(-np.asarray(res.upper.marginals, dtype=float), 0.0)
     duals = LpDuals(y=y, z_lower=z_lower, z_upper=z_upper)
 
-    primal = _primal_residual(inst, a @ x, x, lower, upper)
-    kkt = check_kkt(inst, x, duals, override=override)
+    primal = _primal_residual(inst, a @ x, x)
+    kkt = check_kkt(inst, x, duals)
     return LpOutcome(
         status=LpStatus.OPTIMAL,
         objective=float(res.fun),
@@ -249,35 +225,35 @@ class _ChildLps:
         raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: {self._highs.modelStatusToString(status)}")
 
 
-def _primal_residual(inst: MilpInstance, ax: np.ndarray, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+def _primal_residual(inst: MilpInstance, ax: np.ndarray, x: np.ndarray) -> float:
     """Largest violation of a row or a finite bound at x, given ax = A x;
     0 when x is feasible.  NaN violations are skipped."""
     sign = _row_sign(inst)
     gap = inst.b - ax
     rows = np.where(sign == 0, np.abs(gap), sign * gap)
     with np.errstate(invalid="ignore"):
-        bounds = np.concatenate([lower - x, x - upper])
+        bounds = np.concatenate([inst.lower - x, x - inst.upper])
     viol = np.concatenate([rows, bounds[np.isfinite(bounds)]])
     return max(0.0, float(np.fmax.reduce(viol, initial=0.0)))
 
 
-def check_kkt(inst: MilpInstance, x: np.ndarray, duals: LpDuals, override: BoundOverride | None = None) -> float:
+def check_kkt(inst: MilpInstance, x: np.ndarray, duals: LpDuals) -> float:
     """Max violation across stationarity, feasibility, sign constraints and
-    complementary slackness of a candidate primal/dual pair."""
-    lower, upper = _effective_bounds(inst, override)
+    complementary slackness of a candidate primal/dual pair, against the
+    instance's rows and bounds."""
     a = inst.dense_matrix()
     x = np.asarray(x, dtype=float)
     y, zl, zu = duals.y, duals.z_lower, duals.z_upper
     ax = a @ x
     res = float(np.max(np.abs(inst.c - a.T @ y - zl + zu), initial=0.0))
-    res = max(res, _primal_residual(inst, ax, x, lower, upper))
+    res = max(res, _primal_residual(inst, ax, x))
     # y_i has its inequality row's sign and y_i * slack_i = 0; z >= 0, with
     # z * gap = 0 at a finite bound and z = 0 at an infinite one (gap 1).
     sign = _row_sign(inst)
     ineq = sign != 0
     with np.errstate(invalid="ignore"):
-        lo_gap = np.where(np.isfinite(lower), x - lower, 1.0)
-        hi_gap = np.where(np.isfinite(upper), upper - x, 1.0)
+        lo_gap = np.where(np.isfinite(inst.lower), x - inst.lower, 1.0)
+        hi_gap = np.where(np.isfinite(inst.upper), inst.upper - x, 1.0)
     slack = (ax - inst.b)[ineq]
     terms = [-sign[ineq] * y[ineq], np.abs(y[ineq] * slack), -zl, -zu, np.abs(zl * lo_gap), np.abs(zu * hi_gap)]
     return max(res, float(np.fmax.reduce(np.concatenate(terms), initial=0.0)))
@@ -362,7 +338,7 @@ def min_norm_solution(
     x = _min_norm_on_working_set(c_mat, np.concatenate([inst.b[tight], fixed_at]))
     scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
     if (
-        _primal_residual(inst, a @ x, x, inst.lower, inst.upper) <= _FACE_TOL * scale
+        _primal_residual(inst, a @ x, x) <= _FACE_TOL * scale
         and abs(float(inst.c @ x) - f_star) <= _FACE_TOL * max(1.0, abs(f_star))
     ):
         return x

@@ -12,8 +12,9 @@ them bit for bit.
 
 The solved-path strong-branching reference is the one exception to the
 first rule: it takes the package's relaxation and least-norm point and then
-solves both child LPs of every integer variable, so it checks the shortcut
-that skips the children of a variable integral at that point.
+solves both child LPs of every integer variable as instances (``child``)
+through ``solve_lp``, so it checks the shortcut that skips the children of a
+variable integral at that point, and the hot-started child model.
 
 The color-refinement references intern exact signature tuples through a
 dictionary, node by node and pair by pair, and find tractability witnesses
@@ -27,6 +28,7 @@ input, and step Adam array by array.  Of the package's ``nn`` module they use
 only the parameter containers, ``encode_graph`` and ``grad``.
 """
 
+import dataclasses
 import itertools
 import math
 import struct
@@ -35,28 +37,41 @@ import numpy as np
 
 from milpgnn import nn
 from milpgnn.instance import MilpInstance, Sense
-from milpgnn.lp import BoundOverride, LpStatus, min_norm_solution, solve_lp
+from milpgnn.lp import LpStatus, min_norm_solution, solve_lp
 from milpgnn.sb import SbScores, _snap
 
 FEAS_TOL = 1e-8
 BIG = 1e6  # artificial box used to detect unboundedness
+# The least-norm projection accepts only points this close to the face, so
+# that no point just off it, and nearer 0, beats the true one.
+FACE_TOL = 1e-10
 
 
-def _feasible(inst: MilpInstance, x: np.ndarray, lower, upper) -> bool:
-    if (x < lower - FEAS_TOL).any() or (x > upper + FEAS_TOL).any():
+def child(inst: MilpInstance, j: int, lower: float, upper: float) -> MilpInstance | None:
+    """``inst`` with x_j's bounds replaced by [lower, upper]: one child LP of
+    strong branching as an instance; None when that interval is empty."""
+    if lower > upper:
+        return None
+    lo, hi = inst.lower.copy(), inst.upper.copy()
+    lo[j], hi[j] = lower, upper
+    return dataclasses.replace(inst, lower=lo, upper=hi)
+
+
+def _feasible(inst: MilpInstance, x: np.ndarray, lower, upper, tol: float = FEAS_TOL) -> bool:
+    if (x < lower - tol).any() or (x > upper + tol).any():
         return False
     ax = inst.dense_matrix() @ x
     for i in range(inst.m):
-        if inst.senses[i] == Sense.LE and ax[i] > inst.b[i] + FEAS_TOL:
+        if inst.senses[i] == Sense.LE and ax[i] > inst.b[i] + tol:
             return False
-        if inst.senses[i] == Sense.GE and ax[i] < inst.b[i] - FEAS_TOL:
+        if inst.senses[i] == Sense.GE and ax[i] < inst.b[i] - tol:
             return False
-        if inst.senses[i] == Sense.EQ and abs(ax[i] - inst.b[i]) > FEAS_TOL:
+        if inst.senses[i] == Sense.EQ and abs(ax[i] - inst.b[i]) > tol:
             return False
     return True
 
 
-def brute_force_lp(inst: MilpInstance, extra_fix=None):
+def brute_force_lp(inst: MilpInstance):
     """Vertex enumeration on the feasible region boxed into [-BIG, BIG].
 
     Returns (status, objective, vertices) with status 'optimal',
@@ -65,13 +80,7 @@ def brute_force_lp(inst: MilpInstance, extra_fix=None):
     """
     n = inst.n
     a = inst.dense_matrix()
-    lower = inst.lower.copy()
-    upper = inst.upper.copy()
-    if extra_fix is not None:
-        j, lo, hi = extra_fix
-        lower[j], upper[j] = lo, hi
-    if (lower > upper).any():
-        return "infeasible", None, []
+    lower, upper = inst.lower, inst.upper
     boxed_lower = np.maximum(lower, -BIG)
     boxed_upper = np.minimum(upper, BIG)
 
@@ -137,7 +146,7 @@ def brute_force_min_norm(inst: MilpInstance, f_star: float):
             x = np.linalg.pinv(mat) @ rhs
             if np.abs(mat @ x - rhs).max() > 1e-7:
                 continue  # inconsistent system
-            if not _feasible(inst, x, inst.lower, inst.upper):
+            if not _feasible(inst, x, inst.lower, inst.upper, FACE_TOL):
                 continue
             if abs(float(inst.c @ x) - f_star) > 1e-6:
                 continue
@@ -153,7 +162,7 @@ def brute_force_min_norm(inst: MilpInstance, f_star: float):
 # system, written row by row and variable by variable
 
 
-def primal_residual(inst: MilpInstance, x: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+def primal_residual(inst: MilpInstance, x: np.ndarray) -> float:
     """Largest violation of a row or a finite bound at x; 0 when feasible."""
     a = inst.dense_matrix()
     ax = a @ x if inst.m else np.zeros(0)
@@ -166,30 +175,25 @@ def primal_residual(inst: MilpInstance, x: np.ndarray, lower: np.ndarray, upper:
         else:
             viol.append(abs(ax[i] - inst.b[i]))
     with np.errstate(invalid="ignore"):
-        lo = lower - x
-        hi = x - upper
+        lo = inst.lower - x
+        hi = x - inst.upper
     viol.extend(v for v in lo if math.isfinite(v))
     viol.extend(v for v in hi if math.isfinite(v))
     return max(0.0, max(viol))
 
 
-def check_kkt(inst: MilpInstance, x: np.ndarray, duals, override=None) -> float:
+def check_kkt(inst: MilpInstance, x: np.ndarray, duals) -> float:
     """Max violation across stationarity, feasibility, sign constraints and
     complementary slackness of x and duals (y, z_lower, z_upper) under
-    ``c = A'y + z_lower - z_upper``; ``override`` replaces one variable's
-    bounds, as in ``lp.BoundOverride``."""
-    lower = inst.lower.copy()
-    upper = inst.upper.copy()
-    if override is not None:
-        lower[override.j] = override.lower
-        upper[override.j] = override.upper
+    ``c = A'y + z_lower - z_upper``."""
+    lower, upper = inst.lower, inst.upper
     a = inst.dense_matrix()
     x = np.asarray(x, dtype=float)
     y, zl, zu = duals.y, duals.z_lower, duals.z_upper
 
     stationarity = inst.c - (a.T @ y if inst.m else 0.0) - zl + zu
     res = float(np.max(np.abs(stationarity))) if inst.n else 0.0
-    res = max(res, primal_residual(inst, x, lower, upper))
+    res = max(res, primal_residual(inst, x))
 
     ax = a @ x if inst.m else np.zeros(0)
     for i in range(inst.m):
@@ -255,11 +259,11 @@ def sb_scores_solved(inst: MilpInstance, rule):
         if not inst.integer[j]:
             continue
         xj = _snap(float(x_star[j]))
-        down = solve_lp(inst, BoundOverride(j, inst.lower[j], math.floor(xj)))
-        up = solve_lp(inst, BoundOverride(j, math.ceil(xj), inst.upper[j]))
-        d_down = max(down.objective - f_star, 0.0) if down.status == LpStatus.OPTIMAL else math.inf
-        d_up = max(up.objective - f_star, 0.0) if up.status == LpStatus.OPTIMAL else math.inf
-        deltas[j] = (d_down, d_up)
+        for side, (lower, upper) in enumerate([(inst.lower[j], math.floor(xj)), (math.ceil(xj), inst.upper[j])]):
+            sub = child(inst, j, lower, upper)
+            out = solve_lp(sub) if sub is not None else None  # an empty interval scores +inf
+            deltas[j, side] = max(out.objective - f_star, 0.0) if out is not None and out.status == LpStatus.OPTIMAL else math.inf
+        d_down, d_up = deltas[j]
         scores[j] = -1.0 if math.isinf(d_down) or math.isinf(d_up) else rule.combine(d_down, d_up)
     return SbScores(scores=scores, f_star=f_star, x_star=x_star, deltas=deltas)
 

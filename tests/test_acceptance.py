@@ -23,7 +23,7 @@ from milpgnn.lp import (
 from milpgnn.sb import sb_scores
 from milpgnn.wl import is_mp_tractable, stable_partition
 
-from oracles import finite_difference_grad
+from oracles import child, finite_difference_grad
 from test_wl import three_var_example
 
 CYCLE, SPLIT = counterexample_pair()
@@ -62,10 +62,8 @@ class TestCriterion2LpFacts:
             assert np.abs(x - 0.5).max() <= 1e-9
 
     def test_split_child_optima_are_four_and_a_half(self):
-        from milpgnn.lp import BoundOverride
-
-        down = solve_lp(SPLIT, BoundOverride(0, 0.0, 0.0))
-        up = solve_lp(SPLIT, BoundOverride(0, 1.0, 1.0))
+        down = solve_lp(child(SPLIT, 0, 0.0, 0.0))
+        up = solve_lp(child(SPLIT, 0, 1.0, 1.0))
         assert abs(down.objective - 4.5) <= 1e-9
         assert abs(up.objective - 4.5) <= 1e-9
 

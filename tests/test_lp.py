@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from milpgnn import cli, lp
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, permute, serialize_instance
 from milpgnn.lp import (
-    BoundOverride,
     LpDuals,
     LpNumericalError,
     LpStatus,
@@ -26,7 +26,7 @@ from milpgnn.lp import (
 )
 
 import oracles
-from oracles import brute_force_lp, brute_force_min_norm
+from oracles import brute_force_lp, brute_force_min_norm, child
 
 
 def _status_name(status: LpStatus) -> str:
@@ -48,20 +48,30 @@ class TestSolveAgainstOracle:
             assert out.objective == pytest.approx(objective, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_bound_override_matches_oracle(self, seed):
+    def test_child_instance_matches_oracle(self, seed):
         inst = gen_random(seed, m=3, n=5, nnz=8)
-        mid = 0.5 * (inst.lower + inst.upper)
-        override = BoundOverride(2, float(inst.lower[2]), float(mid[2]))
-        status, objective, _ = brute_force_lp(inst, extra_fix=(2, override.lower, override.upper))
-        out = solve_lp(inst, override)
+        sub = child(inst, 2, float(inst.lower[2]), float(0.5 * (inst.lower[2] + inst.upper[2])))
+        status, objective, _ = brute_force_lp(sub)
+        out = solve_lp(sub)
         assert _status_name(out.status) == status
         if status == "optimal":
             assert out.objective == pytest.approx(objective, abs=1e-6)
 
-    def test_empty_override_interval_infeasible(self):
-        inst = gen_random(0, m=3, n=5, nnz=8)
-        out = solve_lp(inst, BoundOverride(0, 1.0, 0.0))
-        assert out.status == LpStatus.INFEASIBLE
+    def test_empty_child_interval_is_infeasible_without_a_solve(self, monkeypatch):
+        inst = counterexample_pair()[1]
+        children = lp._ChildLps(inst, solve_lp(inst).objective)
+        runs = collections.Counter()
+        run = lp._ChildLps._run
+
+        def counting(self):
+            runs["run"] += 1
+            return run(self)
+
+        monkeypatch.setattr(lp._ChildLps, "_run", counting)
+        assert children.objective(0, 1.0, 0.0) == math.inf
+        assert runs["run"] == 0
+        assert children.objective(0, 0.0, 0.0) == pytest.approx(4.5, abs=1e-9)
+        assert runs["run"] == 1
 
 
 class TestKkt:
@@ -100,9 +110,9 @@ class TestProperties:
             return
         j = seed % inst.n
         mid = 0.5 * (inst.lower[j] + inst.upper[j])
-        child = solve_lp(inst, BoundOverride(j, float(inst.lower[j]), float(mid)))
-        if child.status == LpStatus.OPTIMAL:
-            assert child.objective >= out.objective - 1e-9
+        tightened = solve_lp(child(inst, j, float(inst.lower[j]), float(mid)))
+        if tightened.status == LpStatus.OPTIMAL:
+            assert tightened.objective >= out.objective - 1e-9
 
 
 class TestMinNorm:
@@ -182,6 +192,16 @@ def min_norm_instances(draw):
 # seed 24 of the set covers 3x5 needs stage 2, and its least-norm point is
 # 0.5 away from the vertex HiGHS returns; seed 1 ends at stage 1
 STAGE_2_COVER, STAGE_1_COVER = gen_set_cover(24, 3, 5, 0.4), gen_set_cover(1, 3, 5, 0.4)
+# with free x2 and x5, x3 only bounded above and x4 only below, and rows
+# (=, =, <=): a projection 2.2e-9 off a row lies nearer 0 than x*, so an
+# oracle that accepts points 1e-8 off the face returns it
+_LOOSE = gen_random(530174, m=3, n=6, nnz=9)
+NEAR_FACE = dataclasses.replace(
+    _LOOSE,
+    lower=np.where(np.isin(np.arange(6), [2, 3, 5]), -np.inf, _LOOSE.lower),
+    upper=np.where(np.isin(np.arange(6), [2, 4, 5]), np.inf, _LOOSE.upper),
+    senses=[Sense.EQ, Sense.EQ, Sense.LE],
+)
 
 
 def _plant_qp(monkeypatch, method, answer):
@@ -218,6 +238,7 @@ class TestMinNormStages:
         @given(inst=min_norm_instances())
         @example(inst=STAGE_2_COVER)
         @example(inst=STAGE_1_COVER)
+        @example(inst=NEAR_FACE)
         def agrees(inst):
             out = solve_lp(inst)
             if out.status != LpStatus.OPTIMAL:
@@ -225,8 +246,9 @@ class TestMinNormStages:
             counts["calls"] += 1
             x = min_norm_solution(inst, out.objective, duals=out.duals)
             oracle = brute_force_min_norm(inst, out.objective)
-            # the oracle accepts subsystems up to 1e-8 off the face, so it
-            # is the less accurate of the two on large points
+            assert oracles.primal_residual(inst, oracle) <= oracles.FACE_TOL
+            # the oracle's pseudo-inverse is the less accurate of the two on
+            # large points
             assert np.abs(x - oracle).max() <= 1e-9 * (1.0 + np.abs(oracle).max())
 
         agrees()
@@ -268,8 +290,8 @@ VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-100.0, 10
 @st.composite
 def certificate_cases(draw):
     """An instance with <=, >= and = rows and finite, one-sided and free
-    bounds (m or n may be 0), an arbitrary point x, arbitrary multipliers,
-    maybe one variable's bounds overridden, and an objective value."""
+    bounds (m or n may be 0), an arbitrary point x, arbitrary multipliers
+    and an objective value."""
     m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
 
     def vec(k):
@@ -287,13 +309,8 @@ def certificate_cases(draw):
         a_rows=[k // n for k in cells], a_cols=[k % n for k in cells],
         a_vals=[draw(VALUES.filter(lambda v: v != 0.0)) for _ in cells],
     )
-    override = None
-    if n and draw(st.booleans()):
-        lo = draw(st.one_of(VALUES, st.just(-np.inf)))
-        hi = draw(st.one_of(VALUES, st.just(np.inf)))
-        override = BoundOverride(draw(st.integers(0, n - 1)), lo, hi)
     duals = LpDuals(y=vec(m), z_lower=vec(n), z_upper=vec(n))
-    return inst, vec(n), duals, override, draw(VALUES)
+    return inst, vec(n), duals, draw(VALUES)
 
 
 def _empty_side_case(m, n):
@@ -302,7 +319,7 @@ def _empty_side_case(m, n):
         m=m, n=n, c=np.ones(n), b=-np.ones(m), senses=np.arange(m) % 3, lower=-np.ones(n), upper=np.full(n, np.inf),
         integer=[False] * n, a_rows=[], a_cols=[], a_vals=[],
     )
-    return inst, np.full(n, -2.0), LpDuals(y=np.ones(m), z_lower=-np.ones(n), z_upper=np.ones(n)), None, 3.0
+    return inst, np.full(n, -2.0), LpDuals(y=np.ones(m), z_lower=-np.ones(n), z_upper=np.ones(n)), 3.0
 
 
 class TestCertificatesAgainstLoopOracle:
@@ -315,22 +332,22 @@ class TestCertificatesAgainstLoopOracle:
     @example(case=_empty_side_case(0, 3))
     @example(case=_empty_side_case(3, 0))
     def test_bitwise_equal(self, case):
-        inst, x, duals, override, f_star = case
-        lower, upper = lp._effective_bounds(inst, override)
-        got = lp._primal_residual(inst, inst.dense_matrix() @ x, x, lower, upper)
-        assert _bits(got) == _bits(oracles.primal_residual(inst, x, lower, upper))
-        assert _bits(check_kkt(inst, x, duals, override)) == _bits(oracles.check_kkt(inst, x, duals, override))
+        inst, x, duals, f_star = case
+        got = lp._primal_residual(inst, inst.dense_matrix() @ x, x)
+        assert _bits(got) == _bits(oracles.primal_residual(inst, x))
+        assert _bits(check_kkt(inst, x, duals)) == _bits(oracles.check_kkt(inst, x, duals))
         for got, want in zip(lp._face_constraints(inst, f_star), oracles.face_constraints(inst, f_star)):
             assert _bits(got) == _bits(want)
 
     # x0 in [0, 2], x1 free, x2 in [0, 1]; rows x0 + x1 <= 2, x0 >= -5,
     # x1 = 0; c = 0.  At x = (2, 0, 0.5) with zero multipliers every term is
-    # 0; each case below makes one term the largest.
+    # 0; each case below makes one term the largest, "overridden bound violation"
+    # on the child LP with x2 in [0, 0.25].
     KKT_TERMS = {
         "stationarity": (dict(zu=[0.5, 0, 0]), 0.5),
         "row violation": (dict(x=[2, -3, 0.5]), 3.0),
         "bound violation": (dict(x=[2, 0, 1.25]), 0.25),
-        "overridden bound violation": (dict(override=BoundOverride(2, 0.0, 0.25)), 0.25),
+        "overridden bound violation": (dict(x2_upper=0.25), 0.25),
         "row multiplier sign": (dict(y=[0.7, 0, -0.7], zu=[0.7, 0, 0]), 0.7),
         "row complementarity": (dict(y=[0, 0.3, 0], zu=[0.3, 0, 0]), 2.1),
         "bound multiplier sign": (dict(zl=[0, 0, -0.4], zu=[0, 0, -0.4]), 0.4),
@@ -346,12 +363,13 @@ class TestCertificatesAgainstLoopOracle:
             a_rows=[0, 0, 1, 2], a_cols=[0, 1, 0, 1], a_vals=[1.0, 1.0, 1.0, 1.0],
         )
         change, expected = self.KKT_TERMS[term]
-        args = dict(x=[2, 0, 0.5], y=[0, 0, 0], zl=[0, 0, 0], zu=[0, 0, 0], override=None) | change
+        args = dict(x=[2, 0, 0.5], y=[0, 0, 0], zl=[0, 0, 0], zu=[0, 0, 0], x2_upper=1.0) | change
+        inst = child(inst, 2, 0.0, args["x2_upper"])
         x = np.array(args["x"], dtype=float)
         duals = LpDuals(*(np.array(args[k], dtype=float) for k in ("y", "zl", "zu")))
-        got = check_kkt(inst, x, duals, args["override"])
+        got = check_kkt(inst, x, duals)
         assert got == pytest.approx(expected, rel=1e-12)
-        assert _bits(got) == _bits(oracles.check_kkt(inst, x, duals, args["override"]))
+        assert _bits(got) == _bits(oracles.check_kkt(inst, x, duals))
 
 
 MISSING_BINDING = """

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from milpgnn import cli, gen, lp
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, permute, serialize_instance
-from milpgnn.lp import BoundOverride, LpNumericalError, LpStatus, solve_lp
+from milpgnn.lp import LpNumericalError, LpStatus, solve_lp
 from milpgnn.sb import (
     PRODUCT_RULE,
     RelaxationInfeasibleError,
@@ -19,7 +19,7 @@ from milpgnn.sb import (
     sb_scores,
 )
 
-from oracles import brute_force_lp, brute_force_min_norm, sb_scores_solved
+from oracles import brute_force_lp, brute_force_min_norm, child, sb_scores_solved
 
 
 def oracle_sb(inst: MilpInstance):
@@ -35,10 +35,12 @@ def oracle_sb(inst: MilpInstance):
         nearest = round(xj)
         if abs(xj - nearest) <= 1e-9:
             xj = nearest
-        st_d, f_d, _ = brute_force_lp(inst, extra_fix=(j, inst.lower[j], math.floor(xj)))
-        st_u, f_u, _ = brute_force_lp(inst, extra_fix=(j, math.ceil(xj), inst.upper[j]))
-        d_down = max(f_d - f_star, 0.0) if st_d == "optimal" else math.inf
-        d_up = max(f_u - f_star, 0.0) if st_u == "optimal" else math.inf
+        deltas = []
+        for lower, upper in [(inst.lower[j], math.floor(xj)), (math.ceil(xj), inst.upper[j])]:
+            sub = child(inst, j, lower, upper)
+            status, f_child, _ = brute_force_lp(sub) if sub is not None else ("infeasible", None, [])
+            deltas.append(max(f_child - f_star, 0.0) if status == "optimal" else math.inf)
+        d_down, d_up = deltas
         scores[j] = -1.0 if math.isinf(d_down) or math.isinf(d_up) else d_down * d_up
     return scores
 
@@ -97,7 +99,7 @@ def cycle_covers(draw) -> MilpInstance:
         cycle = labels[pos : pos + size]
         pos += size
         pairs += [(cycle[k], cycle[(k + 1) % size]) for k in range(size)]
-    return gen._covering_instance(pairs)
+    return gen._covering_instance(pairs, len(pairs))
 
 
 @st.composite
@@ -199,7 +201,7 @@ class TestChildLpStatuses:
         inst = counterexample_pair()[1]
         children = lp._ChildLps(inst, 4.0)
         for j, lower, upper in [(0, 0.0, 0.0), (0, 1.0, 1.0), (6, 0.0, 0.0), (7, 1.0, 1.0)]:
-            want = solve_lp(inst, BoundOverride(j, lower, upper)).objective
+            want = solve_lp(child(inst, j, lower, upper)).objective
             assert children.objective(j, lower, upper) == pytest.approx(want, abs=1e-9)
         _children_report(monkeypatch, Status.kOptimal)
         assert np.abs(sb_scores(inst).scores - np.array([0.25] * 6 + [0.0, 0.0])).max() <= 1e-9

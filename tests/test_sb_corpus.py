@@ -83,7 +83,7 @@ def _cycle_cover(rng: random.Random, lengths: list[int]) -> MilpInstance:
         cycle = labels[start : start + size]
         pairs += [(cycle[k], cycle[(k + 1) % size]) for k in range(size)]
     rng.shuffle(pairs)
-    return _covering_instance(pairs)
+    return _covering_instance(pairs, n)
 
 
 def refinement_corpus() -> tuple[dict, list[tuple[str, str]]]:
