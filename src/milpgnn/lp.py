@@ -2,17 +2,18 @@
 
 ``solve_lp`` relaxes integrality and solves with HiGHS (deterministic dual
 simplex via scipy's ``linprog``), and reports the answer's KKT residual.
-Every function here reads the bounds from the instance, so an LP with other
-bounds is another ``MilpInstance``.  Strong branching solves the relaxation
-through ``solve_lp``.  Its child LPs run on ``_ChildLps`` instead: one HiGHS
-model per instance, built once from the triplets through scipy's bundled
-HiGHS binding, where each child starts hot from the relaxation's optimal
-basis with one variable's bounds replaced.  The model's relaxation
-optimum must agree with ``solve_lp``'s, or it refuses to solve any child.
-``min_norm_solution`` picks the unique least-norm point of the optimal face,
-read off the relaxation's duals: one projection when that lands in the face,
-else HiGHS's QP with an enforced stationarity certificate.  Only the tests
-check the answer's full KKT residual (``min_norm_kkt_residual``).
+It and the certificates read the bounds from the instance alone, so an LP
+with other bounds is another ``MilpInstance``.  Strong branching solves
+the relaxation through ``solve_lp``.  Its child LPs run on ``_ChildLps``
+instead: one HiGHS model per instance, built once from the triplets
+through scipy's bundled HiGHS binding, where each child starts hot from
+the relaxation's optimal basis with one variable's bounds replaced.  The
+model's relaxation optimum must agree with ``solve_lp``'s, or it refuses to
+solve any child.  ``min_norm_solution`` picks the unique least-norm point
+of the optimal face, read off the relaxation's duals: one projection when
+that lands in the face, else HiGHS's QP with an enforced stationarity
+certificate.  Only the tests check the answer's full KKT residual
+(``min_norm_kkt_residual``).
 """
 
 from __future__ import annotations
