@@ -73,9 +73,7 @@ def _emit(obj) -> None:
 
 
 def _jsonable(v):
-    if isinstance(v, float) and math.isinf(v):
-        return "+inf" if v > 0 else "-inf"
-    return v
+    return "+inf" if v == math.inf else v
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ platforms and languages.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .instance import MilpInstance, Sense
+from .lp import LpStatus, solve_lp
 
 __all__ = [
     "PortableRng",
@@ -147,11 +149,30 @@ def counterexample_pair() -> tuple[MilpInstance, MilpInstance]:
     return cycle8, split
 
 
+# A redraw loop gives up after this many rejections in a row.  Over 400
+# seeds gen_training_set's longest run was 9 at 6x20 with 60 nonzeros (61%
+# accepted) and 347 at 20x20 with 60 (0.25% accepted), where a run this long
+# has odds about 1e-11.  A set-cover row is empty with odds (1 - d)^n per
+# draw: 0.0115 at 20 columns and density 0.2, 0.0018 at 60 and 0.1.
+MAX_CONSECUTIVE_REJECTIONS = 10_000
+
+
+def _first_accepted(draws, accept, what: str):
+    """The first of ``draws`` that ``accept`` takes, and the number rejected
+    before it.  MAX_CONSECUTIVE_REJECTIONS rejections are a ValueError that
+    starts with ``what``."""
+    for rejected, draw in enumerate(draws):
+        if accept(draw):
+            return draw, rejected
+        if rejected + 1 == MAX_CONSECUTIVE_REJECTIONS:
+            raise ValueError(f"{what} in {rejected + 1} draws in a row, the rejection budget")
+
+
 def gen_set_cover(seed: int, rows: int, cols: int, density: float) -> MilpInstance:
     """0/1 covering matrix with per-entry inclusion probability ``density``;
     empty rows are resampled so the relaxation is never trivially infeasible.
-    Negative sizes, and rows without a column to cover them, are
-    ValueErrors."""
+    Negative sizes, rows without a column to cover them, and
+    MAX_CONSECUTIVE_REJECTIONS empty rows in a row are ValueErrors."""
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
     if rows < 0 or cols < 0:
@@ -159,21 +180,9 @@ def gen_set_cover(seed: int, rows: int, cols: int, density: float) -> MilpInstan
     if rows and not cols:
         raise ValueError("a set-cover instance with rows needs at least one column to cover them")
     rng = PortableRng(seed)
-    covers = []
-    for _ in range(rows):
-        while True:
-            picked = [j for j in range(cols) if rng.uniform() < density]
-            if picked:
-                break
-        covers.append(picked)
-    return _covering_instance(covers, cols)
-
-
-# gen_training_set gives up after this many rejections in a row.  Over 400
-# seeds the longest run was 9 at 6x20 with 60 nonzeros (61% accepted) and
-# 347 at 20x20 with 60 (0.25% accepted), where a run this long has odds
-# about 1e-11.
-MAX_CONSECUTIVE_REJECTIONS = 10_000
+    draws = ([j for j in range(cols) if rng.uniform() < density] for _ in itertools.count())
+    what = f"set-cover {rows}x{cols} instances with density {density}: no nonempty row"
+    return _covering_instance([_first_accepted(draws, bool, what)[0] for _ in range(rows)], cols)
 
 
 def gen_training_set(seed: int, count: int, m: int = 6, n: int = 20, nnz: int = 60):
@@ -182,24 +191,8 @@ def gen_training_set(seed: int, count: int, m: int = 6, n: int = 20, nnz: int = 
     k).  Returns (instances, rejection count, seeds), where instance k is
     gen_random(seeds[k], m, n, nnz).  A shape that yields
     MAX_CONSECUTIVE_REJECTIONS rejections in a row is a ValueError."""
-    from .lp import LpStatus, solve_lp
-
-    instances, seeds = [], []
-    rejected = run = 0
-    sub_seed = seed
-    while len(instances) < count:
-        inst = gen_random(sub_seed, m=m, n=n, nnz=nnz)
-        if solve_lp(inst).status == LpStatus.OPTIMAL:
-            instances.append(inst)
-            seeds.append(sub_seed)
-            run = 0
-        else:
-            rejected += 1
-            run += 1
-            if run == MAX_CONSECUTIVE_REJECTIONS:
-                raise ValueError(
-                    f"random {m}x{n} instances with {nnz} nonzeros: no optimal relaxation in "
-                    f"{run} draws in a row, the rejection budget"
-                )
-        sub_seed += 1
-    return instances, rejected, seeds
+    draws = ((s, gen_random(s, m=m, n=n, nnz=nnz)) for s in itertools.count(seed))
+    what = f"random {m}x{n} instances with {nnz} nonzeros: no optimal relaxation"
+    optimal = lambda draw: solve_lp(draw[1]).status == LpStatus.OPTIMAL
+    picks = [_first_accepted(draws, optimal, what) for _ in range(count)]
+    return [inst for (_, inst), _ in picks], sum(r for _, r in picks), [s for (s, _), _ in picks]

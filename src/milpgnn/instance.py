@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -309,10 +309,8 @@ def serialize_instance(inst: MilpInstance) -> str:
     return json.dumps(doc)
 
 
-def load_instance(path_or_file: str | IO) -> MilpInstance:
-    if hasattr(path_or_file, "read"):
-        return parse_instance(path_or_file.read())
-    with open(path_or_file, "rb") as fh:
+def load_instance(path) -> MilpInstance:
+    with open(path, "rb") as fh:
         return parse_instance(fh.read())
 
 

@@ -505,13 +505,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # (loss bound, rate), tightest bound first: once the loss is at or below a
-# bound, Adam steps at that rate instead of the configured one
+# bound, Adam steps at that rate, or at the configured one if that is smaller
 LR_DECAY = ((1e-12, 1e-7), (1e-6, 1e-6))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam's base rate, decayed by LR_DECAY as the loss falls; stops early
+    """Adam's base rate, decayed by LR_DECAY as the loss falls (a decay
+    never raises the rate above learning_rate); stops early
     once target_loss is reached (if set).  seed is read nowhere, since
     init_params's seed alone fixes a run; it stays for the callers that
     pass it."""
@@ -543,7 +544,7 @@ def train(
         value, grads = grad(params, dataset)
         if np.isnan(value):
             raise DivergenceError(epoch)
-        lr = next((rate for bound, rate in LR_DECAY if value <= bound), cfg.learning_rate)
+        lr = min(cfg.learning_rate, next((rate for bound, rate in LR_DECAY if value <= bound), math.inf))
         curve.append((epoch, value, lr))
         if cfg.target_loss is not None and value <= cfg.target_loss:
             break

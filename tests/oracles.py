@@ -595,9 +595,9 @@ def adam_train(params, dataset, cfg):
     for epoch in range(cfg.epochs):
         value, grads = nn.grad(params, dataset)
         if value <= 1e-12:
-            lr = 1e-7
+            lr = min(1e-7, cfg.learning_rate)
         elif value <= 1e-6:
-            lr = 1e-6
+            lr = min(1e-6, cfg.learning_rate)
         else:
             lr = cfg.learning_rate
         curve.append((epoch, value, lr))

@@ -490,6 +490,10 @@ FAILURES = {
     "rejection budget spent": (
         ["generate", "--m", "40", "--n", "1", "--nnz", "0", "--count", "1", "--out", "{out}"], 1, _small_rejection_budget
     ),
+    # every draw of a row is empty, so the default budget runs out
+    "set-cover rows never covered": (
+        ["generate", "--family", "set-cover", "--m", "1", "--n", "1", "--density", "1e-300", "--count", "1", "--out", "{out}"], 1, None
+    ),
     "negative epochs": (TRAIN + ["--epochs", "-3"], 1, None),
     "zero lr": (TRAIN + ["--lr", "0"], 1, None),
     "negative lr": (TRAIN + ["--lr", "-0.001"], 1, None),

@@ -163,6 +163,16 @@ class TestTrainingSet:
         with pytest.raises(ValueError, match=r"40x1 instances with 0 nonzeros: .* 20 draws in a row"):
             gen_training_set(0, 1, m=40, n=1, nnz=0)
 
+    def test_mostly_empty_set_cover_rows_stop_at_the_budget(self, monkeypatch):
+        # a draw of a row over 2 columns is empty with odds 0.95^2 = 0.9025;
+        # seed 1's three rows are rejected 7, 2 and 9 times before one is kept
+        unbudgeted = gen_set_cover(1, 3, 2, 0.05)
+        monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 10)
+        assert gen_set_cover(1, 3, 2, 0.05) == unbudgeted
+        monkeypatch.setattr(gen, "MAX_CONSECUTIVE_REJECTIONS", 9)
+        with pytest.raises(ValueError, match=r"^set-cover 3x2 instances with density 0.05: .* 9 draws in a row, the rejection budget$"):
+            gen_set_cover(1, 3, 2, 0.05)
+
     def test_all_relaxations_solvable(self):
         insts, rejected, _ = gen_training_set(0, 20, m=3, n=6, nnz=9)
         assert len(insts) == 20

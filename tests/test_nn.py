@@ -152,6 +152,15 @@ class TestTraining:
         _, curve = nn.train(params, [(g, target)], nn.TrainConfig(epochs=1))
         assert curve[0][2] == 1e-7  # below both thresholds
 
+    def test_lr_schedule_never_raises_the_configured_rate(self):
+        params = nn.init_params("mpgnn", 8, 1, seed=0)
+        pair = [(g, nn.mpgnn_forward(params, g) + 1e-5) for g, _ in counterexample_dataset()]
+        _, curve = nn.train(params, pair, nn.TrainConfig(learning_rate=1e-8, epochs=5))
+        assert all(lr <= 1e-8 for _, _, lr in curve)
+        # the same loss, between the two thresholds, decays the default rate
+        _, curve = nn.train(params, pair, nn.TrainConfig(epochs=1))
+        assert 1e-12 < curve[0][1] <= 1e-6 and curve[0][2] == 1e-6
+
     def test_target_loss_stops_early(self):
         g = build_graph(counterexample_pair()[0])
         params = nn.init_params("mpgnn", 8, 1, seed=0)
