@@ -45,15 +45,23 @@ class InstanceError(ValueError):
     """Raised when instance data violates the schema or its invariants."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+_FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
+_SENSE_RULE = "sense codes must be the integers 0 (<=), 1 (=) or 2 (>=)"
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float64 array.  An integer beyond the float range has no
+    float value; the error names it as ``what.format(position)``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if isinstance(v, int) and abs(v) >= _FLOAT_LIMIT)
+        raise InstanceError(f"{what.format(i)} is beyond the float range") from None
 
 
 def _exact(name: str, values, dtype) -> np.ndarray:
-    """values as an array of dtype.  A cast that would change a value (258
-    or 1.7 as an int8, 0.5 as a bool) is an InstanceError naming the field."""
+    """values as an array of dtype.  A cast that would change a value (1.7
+    as an int64, 0.5 as a bool) is an InstanceError naming the field."""
     raw = np.asarray(values)
     try:
         with np.errstate(invalid="ignore"):
@@ -63,6 +71,11 @@ def _exact(name: str, values, dtype) -> np.ndarray:
     if cast is None or not np.array_equal(cast, raw):
         raise InstanceError(f"field {name!r} holds a value that {np.dtype(dtype).name} cannot represent exactly")
     return cast
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Position of the first true entry of bad, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,9 @@ class MilpInstance:
     strings "-inf"/"+inf" so infinities survive a JSON round trip exactly.
     Triplets are stored sorted by (row, col) with no duplicates and no
     explicit zeros, so constraint i's edges are a contiguous run.
+
+    The fields take any array-likes.  Every value rule is checked here, in
+    ``_validate``, for the parser and for direct construction alike.
     """
 
     m: int
@@ -90,67 +106,59 @@ class MilpInstance:
     a_vals: np.ndarray  # float64
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _readonly(np.asarray(self.c, dtype=float)))
-        object.__setattr__(self, "b", _readonly(np.asarray(self.b, dtype=float)))
-        object.__setattr__(self, "senses", _readonly(_exact("senses", self.senses, np.int8)))
-        object.__setattr__(self, "lower", _readonly(np.asarray(self.lower, dtype=float)))
-        object.__setattr__(self, "upper", _readonly(np.asarray(self.upper, dtype=float)))
-        object.__setattr__(self, "integer", _readonly(_exact("integer", self.integer, bool)))
-        rows = _exact("a_rows", self.a_rows, np.int64)
-        cols = _exact("a_cols", self.a_cols, np.int64)
-        vals = np.asarray(self.a_vals, dtype=float)
-        order = np.lexsort((cols, rows))
-        object.__setattr__(self, "a_rows", _readonly(rows[order]))
-        object.__setattr__(self, "a_cols", _readonly(cols[order]))
-        object.__setattr__(self, "a_vals", _readonly(vals[order]))
         self._validate()
 
     def _validate(self) -> None:
+        """Check lengths, numbers within the float range, finite c, b and A,
+        bounds neither NaN nor crossed, sense codes, exact integer and boolean
+        casts, index ranges, and no zero or duplicate entry of A (named by its
+        (row, col)); then store each array read-only in its dtype, triplets
+        sorted by (row, col).  An index past int64 is out of range."""
         m, n = self.m, self.n
         if m < 0 or n < 0:
             raise InstanceError("m and n must be nonnegative")
-        for name, arr, size in [
-            ("c", self.c, n),
-            ("b", self.b, m),
-            ("senses", self.senses, m),
-            ("lower", self.lower, n),
-            ("upper", self.upper, n),
-            ("integer", self.integer, n),
-        ]:
+        c, b, lower, upper = (_floats(getattr(self, name), name + "[{}]") for name in ("c", "b", "lower", "upper"))
+        vals = _floats(self.a_vals, "the value of triplet {} of A")
+        senses, integer, rows, cols = map(np.asarray, (self.senses, self.integer, self.a_rows, self.a_cols))
+        k = vals.size
+        sizes = dict(c=(c, n), b=(b, m), senses=(senses, m), lower=(lower, n), upper=(upper, n), integer=(integer, n))
+        for name, (arr, size) in dict(sizes, a_rows=(rows, k), a_cols=(cols, k), a_vals=(vals, k)).items():
             if arr.shape != (size,):
                 raise InstanceError(f"field {name!r} has length {arr.shape}, expected {size}")
-        if not np.all(np.isin(self.senses, [0, 1, 2])):
-            raise InstanceError("sense codes must be 0 (<=), 1 (=) or 2 (>=)")
-        if np.any(np.isnan(self.c)) or np.any(np.isnan(self.b)):
-            raise InstanceError("c and b must be finite numbers, not NaN")
-        if np.any(np.isinf(self.c)) or np.any(np.isinf(self.b)):
-            raise InstanceError("c and b must be finite numbers, not infinite")
-        if np.any(np.isnan(self.lower)):
-            raise InstanceError(f"lower bound is NaN at variable {int(np.argmax(np.isnan(self.lower)))}")
-        if np.any(np.isnan(self.upper)):
-            raise InstanceError(f"upper bound is NaN at variable {int(np.argmax(np.isnan(self.upper)))}")
-        if np.any(self.lower > self.upper):
-            j = int(np.argmax(self.lower > self.upper))
+        if (i := _first(~np.isin(senses, (0, 1, 2)))) is not None:
+            raise InstanceError(f"field 'senses': {_SENSE_RULE}, not {senses[i]} at row {i}")
+        for name, arr in (("c", c), ("b", b)):
+            if (i := _first(~np.isfinite(arr))) is not None:
+                kind = "NaN" if np.isnan(arr[i]) else "infinite"
+                raise InstanceError(f"c and b must be finite numbers, not {kind}: {name}[{i}] is {arr[i]}")
+        for name, arr in (("lower", lower), ("upper", upper)):
+            if (j := _first(np.isnan(arr))) is not None:
+                raise InstanceError(f"{name} bound is NaN at variable {j}")
+        if (j := _first(lower > upper)) is not None:
             raise InstanceError(f"lower bound exceeds upper bound at variable {j}")
-        k = self.a_rows.size
-        if self.a_cols.size != k or self.a_vals.size != k:
-            raise InstanceError("triplet arrays must have equal length")
-        if np.any(np.isnan(self.a_vals)):
-            raise InstanceError("entries of A must be finite numbers, not NaN")
-        if np.any(np.isinf(self.a_vals)):
-            raise InstanceError("entries of A must be finite numbers, not infinite")
-        if k:
-            if self.a_rows.min(initial=0) < 0 or (m and self.a_rows.max(initial=-1) >= m):
-                raise InstanceError("triplet row index out of range")
-            if self.a_cols.min(initial=0) < 0 or (n and self.a_cols.max(initial=-1) >= n):
-                raise InstanceError("triplet column index out of range")
-            if m == 0 or n == 0:
-                raise InstanceError("triplet index out of range for empty dimension")
-            if np.any(self.a_vals == 0.0):
-                raise InstanceError("explicit zero entry in A; drop zeros from the triplet list")
-            keys = self.a_rows * n + self.a_cols
-            if np.unique(keys).size != k:
-                raise InstanceError("duplicate (row, col) triplet in A")
+        for idx, size in ((rows, m), (cols, n)):
+            try:
+                t = _first((idx < 0) | (idx >= size))
+            except TypeError:  # not numbers, which the cast below refuses
+                continue
+            if t is not None:
+                raise InstanceError(f"triplet index out of range: triplet {t} of A is ({rows[t]}, {cols[t]}), A is {m}x{n}")
+        rows, cols = _exact("a_rows", rows, np.int64), _exact("a_cols", cols, np.int64)
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        for bad, rule in [
+            (np.isnan(vals), "entries of A must be finite numbers, not NaN"),
+            (np.isinf(vals), "entries of A must be finite numbers, not infinite"),
+            (vals == 0.0, "explicit zero entry in A; drop zeros from the triplet list"),
+            (np.append(False, (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])), "duplicate (row, col) triplet in A"),
+        ]:
+            if (t := _first(bad)) is not None:
+                raise InstanceError(f"{rule}: the entry at ({rows[t]}, {cols[t]})")
+        arrays = dict(c=c, b=b, senses=senses.astype(np.int8), lower=lower, upper=upper, a_rows=rows, a_cols=cols, a_vals=vals)
+        for name, arr in dict(arrays, integer=_exact("integer", integer, bool)).items():
+            arr = np.ascontiguousarray(arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def nnz(self) -> int:
@@ -181,42 +189,31 @@ def build_graph(inst: MilpInstance) -> MilpInstance:
 
 
 _INF_STRINGS = {"-inf": -math.inf, "+inf": math.inf, "inf": math.inf}
+_NUMBER = (int, float)
 
 
-def _is_int(v) -> bool:
-    """A JSON integer; JSON's true and false have type bool, not int."""
-    return type(v) is int
+def _list(values, key: str, types: tuple, message: str) -> list:
+    """values, which must be a JSON list whose elements each have one of
+    exactly ``types``, so that JSON's true and false (type bool) are never
+    numbers.  Otherwise an InstanceError naming field ``key``, or ``message``
+    formatted with the first other element's position ``i`` and value ``v``."""
+    if type(values) is not list:
+        raise InstanceError(f"field {key!r} must be a list, not {values!r}")
+    if not set(map(type, values)).issubset(types):
+        i = next(i for i, v in enumerate(values) if type(v) not in types)
+        raise InstanceError(message.format(i=i, v=values[i]))
+    return values
 
 
-def _number(v, what: str, *where) -> float:
-    """A JSON number as a float.  Booleans and strings are not numbers, and
-    an integer beyond the float range has no float value.  The error names
-    ``what.format(*where)``, built only when there is an error."""
-    if type(v) is float:
-        return v
-    if type(v) is not int:
-        raise InstanceError(f"{what.format(*where)} must be a number, not {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise InstanceError(f"{what.format(*where)} is beyond the float range") from None
-
-
-def _list(doc: dict, key: str) -> list:
-    if not isinstance(doc[key], list):
-        raise InstanceError(f"field {key!r} must be a list, not {doc[key]!r}")
-    return doc[key]
-
-
-def _bound_from_json(v, kind: str, j: int) -> float:
-    if isinstance(v, str):
-        if v in _INF_STRINGS:
-            return _INF_STRINGS[v]
-        raise InstanceError(f"bad {kind} bound {v!r} at variable {j}")
-    x = _number(v, "{} bound at variable {}", kind, j)
-    if not math.isfinite(x):
-        raise InstanceError(f"bad {kind} bound {v!r} at variable {j}")
-    return x
+def _bounds(doc: dict, key: str) -> list:
+    """doc[key] with each bound string read as its infinity.  The wire format
+    spells an absent bound only as a string, so a JSON number that reads as
+    infinite (1e400, or Python's Infinity literal) is refused here."""
+    values = _list(doc[key], key, (int, float, str), key + " bound must be a number or a string, not {v!r} at variable {i}")
+    for j, v in enumerate(values):
+        if (v not in _INF_STRINGS) if type(v) is str else (type(v) is float and math.isinf(v)):
+            raise InstanceError(f"bad {key} bound {v!r} at variable {j}")
+    return [_INF_STRINGS[v] if type(v) is str else v for v in values]
 
 
 def _bound_to_json(v: float):
@@ -229,7 +226,16 @@ def _bound_to_json(v: float):
 
 def parse_instance(text: str | bytes) -> MilpInstance:
     """Parse the JSON wire format.  Each malformed input gets a distinct
-    diagnostic; explicit zeros in A are rejected, not dropped."""
+    diagnostic.
+
+    The parser checks only the document's JSON types and shape: the nine
+    fields present, m and n integers, each other field a list whose
+    elements have exactly the right JSON types (a boolean is never a
+    number), each triplet of A a list ``[row, col, value]``, and each bound
+    a number or one of the strings "-inf", "+inf", "inf".  Every value rule
+    (lengths, ranges, finiteness, zeros and duplicates in A, numbers beyond
+    the float range) is ``MilpInstance``'s, which rejects, not drops, an
+    explicit zero in A."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -247,49 +253,27 @@ def parse_instance(text: str | bytes) -> MilpInstance:
         if key not in doc:
             raise InstanceError(f"missing field {key!r}")
     m, n = doc["m"], doc["n"]
-    if not _is_int(m) or not _is_int(n):
+    if type(m) is not int or type(n) is not int:
         raise InstanceError("m and n must be integers")
-    rows, cols, vals = [], [], []
-    for t in _list(doc, "A"):
-        if not (isinstance(t, list) and len(t) == 3):
-            raise InstanceError(f"bad triplet {t!r}")
-        r, ccol, v = t
-        if not _is_int(r) or not _is_int(ccol):
-            raise InstanceError(f"triplet indices must be integers: {t!r}")
-        v = _number(v, "triplet value at ({}, {})", r, ccol)
-        if not math.isfinite(v):
-            raise InstanceError(f"triplet value must be a finite number: {t!r}")
-        if v == 0:
-            raise InstanceError(f"explicit zero at ({r}, {ccol}); the support of A must not contain zeros")
-        rows.append(r)
-        cols.append(ccol)
-        vals.append(v)
-    c = [_number(v, "c[{}]", j) for j, v in enumerate(_list(doc, "c"))]
-    b = [_number(v, "b[{}]", i) for i, v in enumerate(_list(doc, "b"))]
-    senses = _list(doc, "senses")
-    if not all(_is_int(s) and 0 <= s <= 2 for s in senses):
-        raise InstanceError("sense codes must be the integers 0 (<=), 1 (=) or 2 (>=)")
-    lower = [_bound_from_json(v, "lower", j) for j, v in enumerate(_list(doc, "lower"))]
-    upper = [_bound_from_json(v, "upper", j) for j, v in enumerate(_list(doc, "upper"))]
-    integer = _list(doc, "integer")
-    if not all(isinstance(v, bool) for v in integer):
-        raise InstanceError("integer flags must be booleans")
-    try:
-        a_rows, a_cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    except OverflowError:
-        raise InstanceError("triplet index out of range") from None
+    triplets = _list(doc["A"], "A", (list,), "bad triplet {v!r} at A[{i}]")
+    if set(map(len, triplets)) - {3}:
+        k = next(k for k, t in enumerate(triplets) if len(t) != 3)
+        raise InstanceError(f"bad triplet {triplets[k]!r} at A[{k}]")
+    rows, cols, vals = map(list, zip(*triplets)) if triplets else ([], [], [])
+    for idx in (rows, cols):
+        _list(idx, "A", (int,), "triplet indices must be integers, not {v!r} in triplet {i} of A")
     return MilpInstance(
         m=m,
         n=n,
-        c=np.asarray(c, dtype=float),
-        b=np.asarray(b, dtype=float),
-        senses=np.asarray(senses, dtype=np.int8),
-        lower=np.asarray(lower, dtype=float),
-        upper=np.asarray(upper, dtype=float),
-        integer=np.asarray(integer, dtype=bool),
-        a_rows=a_rows,
-        a_cols=a_cols,
-        a_vals=np.asarray(vals, dtype=float),
+        c=_list(doc["c"], "c", _NUMBER, "c[{i}] must be a number, not {v!r}"),
+        b=_list(doc["b"], "b", _NUMBER, "b[{i}] must be a number, not {v!r}"),
+        senses=_list(doc["senses"], "senses", (int,), f"field 'senses': {_SENSE_RULE}, not {{v!r}} at row {{i}}"),
+        lower=_bounds(doc, "lower"),
+        upper=_bounds(doc, "upper"),
+        integer=_list(doc["integer"], "integer", (bool,), "integer flags must be booleans, not {v!r} at variable {i}"),
+        a_rows=rows,
+        a_cols=cols,
+        a_vals=_list(vals, "A", _NUMBER, "the value of triplet {i} of A must be a number, not {v!r}"),
     )
 
 

@@ -11,9 +11,9 @@ the relaxation's optimal basis with one variable's bounds replaced.  The
 model's relaxation optimum must agree with ``solve_lp``'s, or it refuses to
 solve any child.  ``min_norm_solution`` picks the unique least-norm point
 of the optimal face, read off the relaxation's duals: one projection when
-that lands in the face, else HiGHS's QP with an enforced stationarity
-certificate.  Only the tests check the answer's full KKT residual
-(``min_norm_kkt_residual``).
+that lands in the face, else HiGHS's QP, bounded by ``_QP_ITERATION_LIMIT``
+iterations, with an enforced stationarity certificate.  Only the tests
+check the answer's full KKT residual (``min_norm_kkt_residual``).
 """
 
 from __future__ import annotations
@@ -261,6 +261,10 @@ def check_kkt(inst: MilpInstance, x: np.ndarray, duals: LpDuals) -> float:
 
 
 _FACE_TOL = 1e-9  # duals above it mark the optimal face; stage 1 and the certificate accept within it
+# HiGHS's default QP iteration limit is 2**31 - 1, which a stalled QP never
+# reaches.  Stage 2 took at most 125 iterations on 300 set covers 30x60 at
+# density 0.1, and none on random instances or cycle covers.
+_QP_ITERATION_LIMIT = 100_000
 
 
 def _face_constraints(inst: MilpInstance, f_star: float):
@@ -318,8 +322,9 @@ def min_norm_solution(
     onto those equalities; the projection is the answer if it meets every
     row, finite bound and c'x = f_star within 1e-9 relative.  Otherwise
     stage 2 solves min 0.5||x||^2 on the face with HiGHS's QP, and a status
-    other than optimal, or an answer without ``_stationarity_certified``,
-    raises ``LpNumericalError``.  ``x0`` is not used; it is kept for callers
+    other than optimal (``_QP_ITERATION_LIMIT`` iterations reached among
+    them), or an answer without ``_stationarity_certified``, raises
+    ``LpNumericalError``.  ``x0`` is not used; it is kept for callers
     that pass the relaxation's vertex."""
     if duals is None:
         outcome = solve_lp(inst)
@@ -351,6 +356,7 @@ def min_norm_solution(
     highs = _highs_model(inst, np.zeros(inst.n), lower, upper, row_lower, row_upper, "the least-norm QP")
     for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
         highs.setOptionValue(option, 1e-10)
+    highs.setOptionValue("qp_iteration_limit", _QP_ITERATION_LIMIT)
     diag = np.arange(inst.n)  # the identity Hessian as (dim, nonzeros, format, start, index, value)
     highs.passHessian(inst.n, inst.n, _highs.HessianFormat.kTriangular.value, np.append(diag, inst.n), diag, np.ones(inst.n))
     highs.run()

@@ -63,7 +63,10 @@ def _disjoint(ids_a: np.ndarray, ids_b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _class_count(colorings) -> int:
-    return np.unique(np.concatenate([np.ravel(a) for pair in colorings for a in pair])).size
+    """Distinct colors over every array of ``colorings``.  The ids are dense:
+    ``_ids`` ranks from 0 and ``_disjoint`` shifts the second kind just past
+    the first, so the count is the largest id plus 1."""
+    return max((int(a.max()) for pair in colorings for a in pair if a.size), default=-1) + 1
 
 
 def _fixpoint(colorings, refine_once):

@@ -522,6 +522,7 @@ FAILURES = {
     "zero dim": (["train", "--arch", "mpgnn", "--data", "counterexample", "--dim", "0", "--out", "{out}"], 1, None),
     "zero layers": (["train", "--arch", "fgnn2", "--data", "counterexample", "--layers", "0", "--out", "{out}"], 1, None),
     "qp nonconvergence": (["sb-score", "{cycle}"], 4, _qp_fails),
+    "qp iteration limit": (["sb-score", "{stalled}"], 4, None),
     "qp nonconvergence in training data": (["train", "--arch", "mpgnn", "--data", "{data}", "--out", "{out}"], 4, _qp_fails),
     "training divergence": (["train", "--arch", "mpgnn", "--data", "{data}", "--dim", "4", "--out", "{out}"], 4, _training_diverges),
 }
@@ -568,7 +569,7 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
     one ``error:`` line on stderr and nothing on stdout; the intractable
     verdict is a report, not a failure.  An input error is found before
     --out is created, and a bad argument is named in the line."""
-    from tests_helpers import infeasible_file
+    from tests_helpers import infeasible_file, stalled_qp_file
 
     argv, expected, patch = FAILURES[case]
     cycle = tmp_path / "data" / "cycle.json"
@@ -587,6 +588,7 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
     paths = {
         "bad": bad, "latin1": latin1, "deep": deep, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent,
         "out": tmp_path / "out", "dangling": dangling, "long": tmp_path / ("a" * 300), "undefined": undefined,
+        "stalled": stalled_qp_file(tmp_path),
     }
     if patch is not None:
         patch(monkeypatch)

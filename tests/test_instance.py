@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milpgnn.instance import (
@@ -223,6 +224,66 @@ class TestWrongJsonTypes:
     def test_scalar_integrality_rejected(self):
         with pytest.raises(InstanceError, match="field 'integer' must be a list"):
             parse_instance(tiny_json(integer=3))
+
+
+# Every kind of JSON value Python's reader yields: NaN and Infinity literals
+# (json.dumps writes them for non-finite floats), integers past int64 and
+# past the float range, strings, null, booleans, nested lists and objects.
+BIG = [2**63, -(2**63) - 1, 2**64, 2**1024 - 2**970 - 1, 2**1024 - 2**970, -(2**1024), 10**400]
+SPECIAL = st.sampled_from(BIG) | st.sampled_from(
+    [None, True, False, "", "x", "-inf", "+inf", "inf", "nan", "Infinity", 0, 1, 3, -1, -0.0, 0.5, math.nan, math.inf, -math.inf]
+)
+JSON_VALUES = st.recursive(
+    SPECIAL | st.text(max_size=3) | st.integers() | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=5,
+)
+FIELDS = ["A", "lower", "upper", "c", "b", "senses", "integer", "m", "n"]
+
+
+@st.composite
+def documents(draw) -> str:
+    """Instance documents from 1x1 to 3x3, half of them with one field that
+    holds any JSON value in place of its list or of one of its elements, or
+    that is missing."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), unique=True, max_size=m * n))
+    valid = {
+        "c": (st.one_of(st.integers(-3, 3), st.floats(-10, 10)), n),
+        "b": (st.one_of(st.integers(-3, 3), st.floats(-10, 10)), m),
+        "senses": (st.integers(0, 2), m),
+        "lower": (st.sampled_from(["-inf", 0, -1.5]), n),
+        "upper": (st.sampled_from(["+inf", "inf", 1, 2.5]), n),
+        "integer": (st.booleans(), n),
+    }
+    doc = {key: draw(st.lists(elements, min_size=size, max_size=size)) for key, (elements, size) in valid.items()}
+    doc.update(m=m, n=n, A=[[i, j, draw(st.sampled_from([1, -2, 0.5, 3.0]))] for i, j in cells])
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(FIELDS))
+        action = draw(st.sampled_from(["element", "element", "element", "replace", "drop"]))
+        if action == "drop":
+            doc.pop(key, None)
+        elif action == "replace" or not isinstance(doc.get(key), list) or not doc[key]:
+            doc[key] = draw(JSON_VALUES)
+        elif key == "A":
+            triplet = list(doc["A"][draw(st.integers(0, len(doc["A"]) - 1))])
+            triplet[draw(st.integers(0, 2))] = draw(SPECIAL | JSON_VALUES)
+            doc["A"].append(triplet[: draw(st.integers(2, 4))] if draw(st.booleans()) else triplet)
+        else:
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(SPECIAL)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=documents())
+@example(text=tiny_json(lower=[0.0, "-inf", 10**400]))  # math.isfinite(10**400) raises OverflowError
+@example(text=tiny_json(A=[[0, 0, 2**1024], [1, 1, -3.0]]))
+def test_parser_raises_only_instance_errors_and_accepted_documents_round_trip(text):
+    try:
+        inst = parse_instance(text)
+    except InstanceError:
+        return
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 class TestUnparsableText:

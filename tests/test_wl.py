@@ -290,6 +290,14 @@ def test_row_ids_equal_numpys_unique_bitwise(rows):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("module", [wl, fwl])
+@settings(max_examples=40, deadline=None)
+@given(inst=zero_heavy_instances(), rounds=st.integers(0, 3))
+def test_class_count_equals_numpys_unique(module, inst, rounds):
+    colors = refine_rounds(module, build_graph(inst), rounds)
+    assert class_count(colors) == np.unique(np.concatenate([np.ravel(a) for a in colors])).size
+
+
 def no_edges(m, n, c=None, b=None) -> MilpInstance:
     return MilpInstance(
         m=m, n=n, c=np.ones(n) if c is None else c, b=np.zeros(m) if b is None else b,

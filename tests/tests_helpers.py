@@ -1,5 +1,7 @@
 """Shared fixtures-as-functions for CLI tests."""
 
+import dataclasses
+
 import numpy as np
 
 from milpgnn import fwl, wl
@@ -42,4 +44,17 @@ def infeasible_file(tmp_path) -> str:
     )
     path = tmp_path / "infeasible.json"
     path.write_text(serialize_instance(inst))
+    return str(path)
+
+
+def stalled_qp_file(tmp_path) -> str:
+    """``gen_set_cover(9025, 12, 24, 0.2)`` with every row and its b_i times
+    100: the same feasible set, but a relaxation dual on which the least-norm
+    point needs HiGHS's QP, and that QP stalls; it runs until the QP
+    iteration limit."""
+    from milpgnn.gen import gen_set_cover
+
+    inst = gen_set_cover(9025, 12, 24, 0.2)
+    path = tmp_path / "stalled_qp.json"
+    path.write_text(serialize_instance(dataclasses.replace(inst, b=inst.b * 100, a_vals=inst.a_vals * 100)))
     return str(path)
