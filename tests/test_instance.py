@@ -268,7 +268,7 @@ def documents(draw) -> str:
         elif key == "A":
             triplet = list(doc["A"][draw(st.integers(0, len(doc["A"]) - 1))])
             triplet[draw(st.integers(0, 2))] = draw(SPECIAL | JSON_VALUES)
-            doc["A"].append(triplet[: draw(st.integers(2, 4))] if draw(st.booleans()) else triplet)
+            doc["A"].append((triplet + [1])[: draw(st.integers(2, 4))] if draw(st.booleans()) else triplet)
         else:
             doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(SPECIAL)
     return json.dumps(doc)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 
 from milpgnn import fwl, wl
+from milpgnn.gen import gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, serialize_instance
 
 
@@ -52,8 +53,6 @@ def stalled_qp_file(tmp_path) -> str:
     100: the same feasible set, but a relaxation dual on which the least-norm
     point needs HiGHS's QP, and that QP stalls; it runs until the QP
     iteration limit."""
-    from milpgnn.gen import gen_set_cover
-
     inst = gen_set_cover(9025, 12, 24, 0.2)
     path = tmp_path / "stalled_qp.json"
     path.write_text(serialize_instance(dataclasses.replace(inst, b=inst.b * 100, a_vals=inst.a_vals * 100)))
