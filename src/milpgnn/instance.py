@@ -49,14 +49,18 @@ _FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() rounds past th
 _SENSE_RULE = "sense codes must be the integers 0 (<=), 1 (=) or 2 (>=)"
 
 
-def _floats(values, what: str) -> np.ndarray:
-    """values as a float64 array.  An integer beyond the float range has no
-    float value; the error names it as ``what.format(position)``."""
+def _floats(name: str, values, what: str) -> np.ndarray:
+    """Field ``name``'s values as a float64 array.  An integer beyond the
+    float range has no float value; the error names it as
+    ``what.format(position)``.  Any other value numpy cannot read as a
+    float is an InstanceError naming the field."""
     try:
         return np.asarray(values, dtype=float)
     except OverflowError:
         i = next(i for i, v in enumerate(values) if isinstance(v, int) and abs(v) >= _FLOAT_LIMIT)
         raise InstanceError(f"{what.format(i)} is beyond the float range") from None
+    except (TypeError, ValueError):
+        raise InstanceError(f"field {name!r} holds a value that is not a number") from None
 
 
 def _exact(name: str, values, dtype) -> np.ndarray:
@@ -112,13 +116,14 @@ class MilpInstance:
         """Check lengths, numbers within the float range, finite c, b and A,
         bounds neither NaN nor crossed, sense codes, exact integer and boolean
         casts, index ranges, and no zero or duplicate entry of A (named by its
-        (row, col)); then store each array read-only in its dtype, triplets
-        sorted by (row, col).  An index past int64 is out of range."""
+        (row, col)); then store a read-only copy of each array in its dtype,
+        triplets sorted by (row, col), so the caller's arrays stay as they
+        were.  An index past int64 is out of range."""
         m, n = self.m, self.n
         if m < 0 or n < 0:
             raise InstanceError("m and n must be nonnegative")
-        c, b, lower, upper = (_floats(getattr(self, name), name + "[{}]") for name in ("c", "b", "lower", "upper"))
-        vals = _floats(self.a_vals, "the value of triplet {} of A")
+        c, b, lower, upper = (_floats(name, getattr(self, name), name + "[{}]") for name in ("c", "b", "lower", "upper"))
+        vals = _floats("a_vals", self.a_vals, "the value of triplet {} of A")
         senses, integer, rows, cols = map(np.asarray, (self.senses, self.integer, self.a_rows, self.a_cols))
         k = vals.size
         sizes = dict(c=(c, n), b=(b, m), senses=(senses, m), lower=(lower, n), upper=(upper, n), integer=(integer, n))
@@ -156,7 +161,7 @@ class MilpInstance:
                 raise InstanceError(f"{rule}: the entry at ({rows[t]}, {cols[t]})")
         arrays = dict(c=c, b=b, senses=senses.astype(np.int8), lower=lower, upper=upper, a_rows=rows, a_cols=cols, a_vals=vals)
         for name, arr in dict(arrays, integer=_exact("integer", integer, bool)).items():
-            arr = np.ascontiguousarray(arr)
+            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -185,7 +185,9 @@ class _ChildLps:
     (absolute below |f_star| = 1), or building raises ``LpNumericalError``.
     Each child starts from the kept basis; still, the children of one
     instance must be solved on a fresh model in a fixed order to repeat bit
-    for bit, since HiGHS keeps state beyond the basis between runs."""
+    for bit, since HiGHS keeps state beyond the basis between runs.  The
+    last child's solution is kept for ``point``, since restoring the bounds
+    invalidates HiGHS's own."""
 
     def __init__(self, inst: MilpInstance, f_star: float):
         self._lower, self._upper = inst.lower, inst.upper
@@ -215,6 +217,7 @@ class _ChildLps:
         try:
             status = self._run()
             objective = self._highs.getInfo().objective_function_value
+            self._solution = self._highs.getSolution()  # a copy
         finally:
             self._highs.changeColBounds(j, self._lower[j], self._upper[j])
         if status == _highs.HighsModelStatus.kOptimal:
@@ -224,6 +227,10 @@ class _ChildLps:
         if status == _highs.HighsModelStatus.kUnbounded:
             raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: unbounded below an optimal relaxation")
         raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: {self._highs.modelStatusToString(status)}")
+
+    def point(self) -> np.ndarray:
+        """The optimal point of the child that ``objective`` solved last."""
+        return np.asarray(self._solution.col_value, dtype=float)
 
 
 def _primal_residual(inst: MilpInstance, ax: np.ndarray, x: np.ndarray) -> float:

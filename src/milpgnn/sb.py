@@ -5,14 +5,18 @@ its bound floored/ceiled at the least-norm relaxation optimum; continuous
 variables score 0.  An infinite score (a branching direction with an
 infeasible child LP) is stored as the sentinel -1.
 
-A variable that is integral at the least-norm point x* (within ``SNAP_TOL``)
-needs no child LP: the snapped x* lies in both children, so both child optima
-are f* and its deltas are (0, 0) without a solve.
+A child whose box on x_j holds an optimal point of the relaxation has
+optimum f*, so its delta is 0 without a solve.  The optimal points known are
+HiGHS's vertex, x* with entries within ``SNAP_TOL`` of an integer snapped to
+it (so a variable integral at x* has deltas (0, 0)), and the optimum of each
+solved child whose delta is 0; the call keeps only each variable's least and
+greatest value over them.
 
 The relaxation is solved by ``solve_lp``.  The child LPs of one call run on
-one hot-started HiGHS model (``lp._ChildLps``), built for the first variable
-that needs them and solved in variable order, down child first.  No model
-outlives the call, so a call's output does not depend on earlier calls.
+one hot-started HiGHS model (``lp._ChildLps``), built for the first child
+that no known point settles and solved in variable order, down child first.
+No model outlives the call, so a call's output does not depend on earlier
+calls.
 """
 
 from __future__ import annotations
@@ -72,8 +76,10 @@ class SbScores:
 
     scores[j] is >= 0, or exactly -1.0 when one of the child LPs is
     infeasible (infinite score).  deltas[j] holds the raw (down, up)
-    objective increases with +inf for infeasible children; it is (0, 0),
-    with no child LP solved, when x_star[j] is integral within SNAP_TOL."""
+    objective increases with +inf for infeasible children.  A delta is 0,
+    with no child LP solved, when a known optimal point of the relaxation
+    lies in that child; both are when x_star[j] is integral within
+    SNAP_TOL."""
 
     scores: np.ndarray
     f_star: float
@@ -81,9 +87,10 @@ class SbScores:
     deltas: np.ndarray  # (n, 2)
 
 
-def _snap(v: float) -> float:
-    nearest = round(v)
-    return nearest if abs(v - nearest) <= SNAP_TOL else v
+def _snap(x: np.ndarray) -> np.ndarray:
+    """x with each entry within SNAP_TOL of an integer replaced by it."""
+    nearest = np.round(x)
+    return np.where(np.abs(x - nearest) <= SNAP_TOL, nearest, x)
 
 
 def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
@@ -96,27 +103,28 @@ def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
         raise RelaxationUnboundedError("LP relaxation unbounded; SB undefined")
     f_star = relax.objective
     x_star = min_norm_solution(inst, f_star, duals=relax.duals)
+    snapped = _snap(x_star)
+    # each variable's least and greatest value over the optimal points seen
+    lowest, highest = np.minimum(relax.x, snapped), np.maximum(relax.x, snapped)
 
     n = inst.n
     scores = np.zeros(n)
     deltas = np.zeros((n, 2))
-    children = None  # built for the first variable that needs its child LPs
+    children = None  # built for the first child that no known optimal point settles
     for j in range(n):
         if not inst.integer[j]:
             continue
-        xj = _snap(float(x_star[j]))
-        if xj == math.floor(xj) and inst.lower[j] <= xj <= inst.upper[j]:
-            # the snapped x* lies in both children, so both optima are f*
-            scores[j] = rule.combine(0.0, 0.0)
-            continue
-        if children is None:
-            children = _ChildLps(inst, f_star)
-        # bound changes only shrink the feasible set, so clamp solver noise
-        d_down = max(children.objective(j, inst.lower[j], math.floor(xj)) - f_star, 0.0)
-        d_up = max(children.objective(j, math.ceil(xj), inst.upper[j]) - f_star, 0.0)
-        deltas[j] = (d_down, d_up)
-        if math.isinf(d_down) or math.isinf(d_up):
-            scores[j] = -1.0
-        else:
-            scores[j] = rule.combine(d_down, d_up)
+        xj = float(snapped[j])
+        for side, (lo, hi) in enumerate([(inst.lower[j], math.floor(xj)), (math.ceil(xj), inst.upper[j])]):
+            if lo <= lowest[j] <= hi or lo <= highest[j] <= hi:
+                continue  # an optimal point lies in this child, so its optimum is f*
+            if children is None:
+                children = _ChildLps(inst, f_star)
+            # bound changes only shrink the feasible set, so clamp solver noise
+            deltas[j, side] = max(children.objective(j, lo, hi) - f_star, 0.0)
+            if deltas[j, side] == 0.0:  # the child's optimum is a relaxation optimum too
+                point = children.point()
+                lowest, highest = np.minimum(lowest, point), np.maximum(highest, point)
+        d_down, d_up = deltas[j]
+        scores[j] = -1.0 if math.isinf(d_down) or math.isinf(d_up) else rule.combine(d_down, d_up)
     return SbScores(scores=scores, f_star=f_star, x_star=x_star, deltas=deltas)

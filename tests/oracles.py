@@ -253,12 +253,13 @@ def sb_scores_solved(inst: MilpInstance, rule):
     assert relax.status == LpStatus.OPTIMAL
     f_star = relax.objective
     x_star = min_norm_solution(inst, f_star, duals=relax.duals)
+    snapped = _snap(x_star)
     scores = np.zeros(inst.n)
     deltas = np.zeros((inst.n, 2))
     for j in range(inst.n):
         if not inst.integer[j]:
             continue
-        xj = _snap(float(x_star[j]))
+        xj = float(snapped[j])
         for side, (lower, upper) in enumerate([(inst.lower[j], math.floor(xj)), (math.ceil(xj), inst.upper[j])]):
             sub = child(inst, j, lower, upper)
             out = solve_lp(sub) if sub is not None else None  # an empty interval scores +inf

@@ -143,6 +143,21 @@ class TestValidation:
         with pytest.raises(InstanceError, match="'integer'"):
             dataclasses.replace(tiny(), integer=integer)
 
+    @pytest.mark.parametrize("field", ["c", "b", "lower", "upper", "a_vals"])
+    def test_a_value_that_is_no_number_names_its_field(self, field):
+        cycle8 = counterexample_pair()[0]
+        with pytest.raises(InstanceError, match=f"field '{field}' holds a value that is not a number"):
+            dataclasses.replace(cycle8, **{field: ["x"] * getattr(cycle8, field).size})
+
+    @pytest.mark.parametrize("field", ["c", "upper", "integer", "a_rows"])
+    def test_the_callers_array_stays_writeable(self, field):
+        cycle8 = counterexample_pair()[0]
+        theirs = getattr(cycle8, field).copy()
+        inst = dataclasses.replace(cycle8, **{field: theirs})
+        assert theirs.flags.writeable and not getattr(inst, field).flags.writeable
+        theirs.fill(0)  # every field above holds a nonzero entry
+        assert np.array_equal(getattr(inst, field), getattr(cycle8, field))
+
     def test_exact_casts_accepted(self):
         inst = dataclasses.replace(
             tiny(), senses=[0, 2], integer=[1, 0, 1.0], a_rows=np.array([0.0, 0.0, 1.0]), a_cols=[0, 2, 1]

@@ -161,6 +161,72 @@ class TestSkipAgainstSolvedPath:
         assert max(skips_on_set_cover) > 0
 
 
+def cycle_cover(lengths: list[int], seed: int) -> MilpInstance:
+    """Covering rows x_a + x_b >= 1 along disjoint cycles of the given
+    lengths, over variable labels and rows shuffled by ``seed``."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(sum(lengths)).tolist()
+    pairs, pos = [], 0
+    for size in lengths:
+        cycle = labels[pos : pos + size]
+        pos += size
+        pairs += [(cycle[k], cycle[(k + 1) % size]) for k in range(size)]
+    return gen._covering_instance([pairs[i] for i in rng.permutation(len(pairs))], len(pairs))
+
+
+ALL_EVEN, ALL_ODD, MIXED = [4, 6, 10, 10], [3, 5, 7], [2, 3, 4, 5, 8, 9]
+
+
+class TestKnownOptimalPoints:
+    """A child whose box on x_j holds a relaxation optimum seen so far (the
+    vertex, x*, or a solved child with delta 0) is settled without an LP."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [pytest.param(gen_random(seed), id=f"random-{seed}") for seed in (0, 2, 4, 5, 7)]
+        + [pytest.param(gen_set_cover(seed, 30, 60, 0.1), id=f"set-cover-{seed}") for seed in range(3)]
+        + [
+            pytest.param(cycle_cover(lengths, seed), id=f"cycles-{kind}-{seed}")
+            for kind, lengths in (("even", ALL_EVEN), ("odd", ALL_ODD), ("mixed", MIXED))
+            for seed in range(2)
+        ],
+    )
+    def test_matches_the_every_child_oracle(self, inst):
+        mine, ref = sb_scores(inst), sb_scores_solved(inst, PRODUCT_RULE)
+        assert mine.f_star == ref.f_star
+        assert ((mine.scores < 0) == (ref.scores < 0)).all()
+        assert np.abs(mine.scores - ref.scores).max() <= 1e-9
+        assert (np.isinf(mine.deltas) == np.isinf(ref.deltas)).all()
+        finite = np.isfinite(ref.deltas)
+        assert np.abs(mine.deltas[finite] - ref.deltas[finite]).max() <= 1e-9
+
+    @staticmethod
+    def runs(monkeypatch, inst) -> int:
+        """How many times ``sb_scores(inst)`` runs a ``_ChildLps`` model,
+        the relaxation's run included."""
+        count = []
+        run = lp._ChildLps._run
+
+        def counting(self):
+            count.append(1)
+            return run(self)
+
+        monkeypatch.setattr(lp._ChildLps, "_run", counting)
+        sb_scores(inst)
+        return len(count)
+
+    def test_even_cycles_skip_most_children(self, monkeypatch):
+        # every variable takes both 0 and 1 at optimal points, which the
+        # first solved children reveal
+        inst = cycle_cover(ALL_EVEN, 0)
+        assert self.runs(monkeypatch, inst) < inst.n
+
+    def test_odd_cycles_solve_every_child(self, monkeypatch):
+        # the relaxation's only optimum is x = 1/2
+        inst = cycle_cover(ALL_ODD, 0)
+        assert self.runs(monkeypatch, inst) == 2 * inst.n + 1
+
+
 class TestRepeatability:
     """No solver state outlives a call: the same instance gives the same
     bits first, again, and after other instances were scored."""
@@ -210,7 +276,9 @@ class TestChildLpStatuses:
         _children_report(monkeypatch, Status.kInfeasible)
         result = sb_scores(counterexample_pair()[1])
         assert result.scores.tolist() == [-1.0] * 8
-        assert np.isinf(result.deltas).all()
+        # a child that holds a known optimal point is settled without a solve
+        assert np.isin(result.deltas, [math.inf, 0.0]).all()
+        assert np.isinf(result.deltas).any(axis=1).all()
 
     @pytest.mark.parametrize(
         "status",
