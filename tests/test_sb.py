@@ -88,18 +88,24 @@ class TestOracleEquivalence:
         assert np.abs(sb_scores(inst).scores - oracle_sb(inst)).max() <= 1e-7
 
 
-@st.composite
-def cycle_covers(draw) -> MilpInstance:
-    """Covering rows x_a + x_b >= 1 along disjoint cycles over shuffled
-    variables, as the benchmark's cycle-cover family builds them."""
-    lengths = draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))
-    labels = draw(st.permutations(range(sum(lengths))))
+def cycle_cover(lengths: list[int], seed: int) -> MilpInstance:
+    """Covering rows x_a + x_b >= 1 along disjoint cycles of the given
+    lengths, over variable labels and rows shuffled by ``seed``."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(sum(lengths)).tolist()
     pairs, pos = [], 0
     for size in lengths:
         cycle = labels[pos : pos + size]
         pos += size
         pairs += [(cycle[k], cycle[(k + 1) % size]) for k in range(size)]
-    return gen._covering_instance(pairs, len(pairs))
+    return gen._covering_instance([pairs[i] for i in rng.permutation(len(pairs))], len(pairs))
+
+
+@st.composite
+def cycle_covers(draw) -> MilpInstance:
+    """``cycle_cover`` on drawn lengths, as the benchmark's cycle-cover
+    family builds them."""
+    return cycle_cover(draw(st.lists(st.integers(2, 7), min_size=1, max_size=4)), draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -159,19 +165,6 @@ class TestSkipAgainstSolvedPath:
 
         agrees()
         assert max(skips_on_set_cover) > 0
-
-
-def cycle_cover(lengths: list[int], seed: int) -> MilpInstance:
-    """Covering rows x_a + x_b >= 1 along disjoint cycles of the given
-    lengths, over variable labels and rows shuffled by ``seed``."""
-    rng = np.random.default_rng(seed)
-    labels = rng.permutation(sum(lengths)).tolist()
-    pairs, pos = [], 0
-    for size in lengths:
-        cycle = labels[pos : pos + size]
-        pos += size
-        pairs += [(cycle[k], cycle[(k + 1) % size]) for k in range(size)]
-    return gen._covering_instance([pairs[i] for i in rng.permutation(len(pairs))], len(pairs))
 
 
 ALL_EVEN, ALL_ODD, MIXED = [4, 6, 10, 10], [3, 5, 7], [2, 3, 4, 5, 8, 9]
