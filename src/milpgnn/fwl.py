@@ -7,7 +7,9 @@ regardless of sparsity.  Colors are ids of integer signature rows as in the
 node-level test (``wl``), which also provides the fixpoint loop.  Each graph
 is an instance itself, its floats compared by exact value.  Graphs refined
 jointly have equal shape and are stacked along a leading axis; the ids of
-the two pair kinds never overlap.
+the two pair kinds never overlap.  The fixpoint loop's two stop rules hold
+here too, and a compare of two graphs also stops once their pair-color
+multisets provably differ, since both verdicts are false from then on.
 """
 
 from __future__ import annotations
@@ -55,8 +57,22 @@ def _refine_once(colorings):
     return list(zip(nvw.reshape(k, m, n), nww.reshape(k, n, n)))
 
 
-def _refine_to_stability(graphs: list[MilpInstance]):
-    return _fixpoint(_initial(graphs), _refine_once)
+def _refine_to_stability(graphs: list[MilpInstance], stop=None):
+    """Pair colors at joint stability, or where ``stop`` ends refinement
+    first, and the rounds run (``wl._fixpoint``)."""
+    return _fixpoint(_initial(graphs), _refine_once, stop)
+
+
+def _moments(colors: np.ndarray):
+    return colors.sum(), np.vdot(colors, colors)
+
+
+def _parted(colorings) -> bool:
+    """True only if the two graphs' VW or WW color multisets differ.  Equal
+    multisets have equal sums of ids and of squared ids, also where int64
+    wraps, so unequal sums prove a difference."""
+    (vw1, ww1), (vw2, ww2) = colorings
+    return _moments(vw1) != _moments(vw2) or _moments(ww1) != _moments(ww2)
 
 
 def fwl2_indistinguishable_W(g1: MilpInstance, g2: MilpInstance) -> bool:
@@ -72,10 +88,13 @@ def fwl2_indistinguishable(g1: MilpInstance, g2: MilpInstance) -> bool:
 
 
 def _fwl2_verdicts(g1: MilpInstance, g2: MilpInstance) -> tuple[bool, bool]:
-    """(whole-multiset, per-column) verdicts from one joint refinement."""
+    """(whole-multiset, per-column) verdicts from one joint refinement.  It
+    stops once the two graphs' color multisets part: refinement only splits
+    classes, so from then on both verdicts stay false, and they come out
+    false from that coloring, since equal columns make equal wholes."""
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
-    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2])[0]
+    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2], _parted)[0]
 
     def same(axis):
         return np.array_equal(np.sort(vw1, axis=axis), np.sort(vw2, axis=axis)) and np.array_equal(

@@ -46,16 +46,23 @@ class InstanceError(ValueError):
 
 
 _FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
 _SENSE_RULE = "sense codes must be the integers 0 (<=), 1 (=) or 2 (>=)"
 
 
 def _floats(name: str, values, what: str) -> np.ndarray:
     """Field ``name``'s values as a float64 array.  An integer beyond the
     float range has no float value; the error names it as
-    ``what.format(position)``.  Any other value numpy cannot read as a
-    float is an InstanceError naming the field."""
+    ``what.format(position)``.  A string, bytes, boolean or None, or any
+    other value numpy cannot read as a float, is an InstanceError naming
+    the field: numpy would read "1.5" and True as numbers."""
     try:
-        return np.asarray(values, dtype=float)
+        raw = np.asarray(values)
+        # a list mixing booleans with numbers reads as a number array
+        items = values if isinstance(values, (list, tuple)) else raw.ravel() if raw.dtype == object else ()
+        if raw.dtype.kind not in "iufO" or any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, items))):
+            raise TypeError
+        return raw.astype(float, copy=False)
     except OverflowError:
         i = next(i for i, v in enumerate(values) if isinstance(v, int) and abs(v) >= _FLOAT_LIMIT)
         raise InstanceError(f"{what.format(i)} is beyond the float range") from None

@@ -10,7 +10,9 @@ graph is the instance itself.  Node features and edge weights enter as
 value ids: floats are numbered by exact value, so -0.0 and 0.0 share an id.
 Several graphs are refined as their disjoint union, so colors stay
 comparable across them.  The fixpoint loop here also drives the pair
-refinement in ``fwl``.
+refinement in ``fwl``.  It stops when a round leaves the class count as it
+was, or, without that confirming round, once every cell has a class of its
+own: a discrete coloring cannot split further.
 """
 
 from __future__ import annotations
@@ -69,14 +71,19 @@ def _class_count(colorings) -> int:
     return max((int(a.max()) for pair in colorings for a in pair if a.size), default=-1) + 1
 
 
-def _fixpoint(colorings, refine_once):
-    """Refine until the class count stops growing.  Every signature holds the
-    old color, so a round can only split classes, and an equal count means an
-    equal partition.  Returns the last coloring before the round that changed
-    nothing, and the number of rounds that changed something."""
+def _fixpoint(colorings, refine_once, stop=None):
+    """Refine until the class count stops growing, every cell has a class of
+    its own, or ``stop(colorings)`` holds before a round.  Every signature
+    holds the old color, so a round can only split classes: an equal count
+    means an equal partition, and a discrete one cannot split further.
+    Returns the last coloring reached before stopping, and the number of
+    rounds that changed something."""
     classes = _class_count(colorings)
+    cells = sum(a.size for pair in colorings for a in pair)
     rounds = 0
     while True:
+        if classes == cells or (stop is not None and stop(colorings)):
+            return colorings, rounds
         nxt = refine_once(colorings)
         count = _class_count(nxt)
         if count == classes:

@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from milpgnn import fwl
 from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import build_graph, permute
 from milpgnn.sb import sb_scores
+from milpgnn.wl import wl_indistinguishable
+from test_sb import cycle_cover
+from test_sb_corpus import CYCLES, refinement_corpus
 from tests_helpers import class_count, refine_rounds
 
 
@@ -32,6 +36,67 @@ class TestRefinement:
         (stable,), rounds = fwl._refine_to_stability([g])
         more = refine_rounds(fwl, g, rounds + 2)
         assert class_count(more) == class_count(stable)
+
+
+class TestStopOnceParted:
+    def test_only_parted_pairs_stop_before_stability(self, monkeypatch):
+        # the corpus's cycle-cover pairs: the "different" ones part after a
+        # round or three, the "equal" and "twin" ones never do
+        insts = refinement_corpus()[0]
+        once = fwl._refine_once
+        calls = []
+        monkeypatch.setattr(fwl, "_refine_once", lambda colorings: calls.append(1) or once(colorings))
+
+        def refinements(run, a, b):
+            calls.clear()
+            run(a, b)
+            return len(calls)
+
+        for size in CYCLES:
+            for kind in ("equal", "different", "twin"):
+                a, b = insts[f"cycles_{size}_{kind}_a"], insts[f"cycles_{size}_{kind}_b"]
+                stopped = refinements(fwl._fwl2_verdicts, a, b)
+                full = refinements(lambda a, b: fwl._refine_to_stability([a, b]), a, b)
+                if kind == "different":
+                    assert stopped < full, size
+                else:
+                    assert stopped == full, (size, kind)
+
+
+@st.composite
+def cycle_lengths(draw, n: int) -> list[int]:
+    """Cycle lengths of at least 2 that sum to n."""
+    lengths = []
+    while n:
+        lengths.append(draw(st.sampled_from([k for k in range(2, n + 1) if n - k != 1])))
+        n -= lengths[-1]
+    return lengths
+
+
+@st.composite
+def cycle_cover_pairs(draw):
+    """Two cycle covers over one number of variables, at most 12: equal
+    cycle-length multisets, different ones, or a row-permuted twin."""
+    lengths = draw(cycle_lengths(draw(st.integers(4, 12))))
+    a = cycle_cover(lengths, draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["equal", "different", "twin"]))
+    if kind == "twin":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return a, permute(a, rng.permutation(a.m), np.arange(a.n))
+    other = draw(st.permutations(lengths)) if kind == "equal" else draw(cycle_lengths(a.n))
+    assume(kind == "equal" or sorted(other) != sorted(lengths))
+    return a, cycle_cover(other, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pair=cycle_cover_pairs())
+def test_cycle_cover_verdicts_match_reference(pair):
+    # cycle covers part at round 1 to 4, later than the tie-heavy pairs of
+    # test_wl, so a stop after round 0 meets the reference too
+    a, b = pair
+    assert fwl2_indistinguishable(a, b) == oracles.fwl2_indistinguishable(a, b)
+    assert fwl2_indistinguishable_W(a, b) == oracles.fwl2_indistinguishable_W(a, b)
+    assert wl_indistinguishable(a, b) == oracles.wl_indistinguishable(a, b)
 
 
 class TestSeparation:

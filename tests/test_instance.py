@@ -143,11 +143,12 @@ class TestValidation:
         with pytest.raises(InstanceError, match="'integer'"):
             dataclasses.replace(tiny(), integer=integer)
 
+    @pytest.mark.parametrize("value", ["x", "1.5", "-inf", b"1", True, None])
     @pytest.mark.parametrize("field", ["c", "b", "lower", "upper", "a_vals"])
-    def test_a_value_that_is_no_number_names_its_field(self, field):
+    def test_a_value_that_is_no_number_names_its_field(self, field, value):
         cycle8 = counterexample_pair()[0]
         with pytest.raises(InstanceError, match=f"field '{field}' holds a value that is not a number"):
-            dataclasses.replace(cycle8, **{field: ["x"] * getattr(cycle8, field).size})
+            dataclasses.replace(cycle8, **{field: [value] * getattr(cycle8, field).size})
 
     @pytest.mark.parametrize("field", ["c", "upper", "integer", "a_rows"])
     def test_the_callers_array_stays_writeable(self, field):

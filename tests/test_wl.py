@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from milpgnn import fwl, wl
 from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
-from milpgnn.gen import counterexample_pair, gen_random
+from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, build_graph, permute
 from milpgnn.wl import StablePartition, is_mp_tractable, stable_partition, wl_indistinguishable
 from tests_helpers import class_count, refine_rounds
@@ -46,6 +46,27 @@ class TestStablePartition:
             part = stable_partition(build_graph(inst))
             assert part.classes_v == (tuple(range(8)),)
             assert part.classes_w == (tuple(range(8)),)
+
+    @pytest.mark.parametrize(
+        "make, refinements",
+        [(lambda: gen_set_cover(0, 100, 200, 0.1), 2), (lambda: gen_random(0), 0), (lambda: gen_random(1), 0)],
+        ids=["set-cover 100x200", "random 0", "random 1"],
+    )
+    def test_a_discrete_coloring_is_not_refined_again(self, monkeypatch, make, refinements):
+        # every node ends in a class of its own, after `refinements` rounds,
+        # and no round follows to confirm it
+        refiner = wl._refiner
+        calls = []
+
+        def counting(graphs):
+            colorings, refine_once = refiner(graphs)
+            return colorings, lambda colorings: calls.append(1) or refine_once(colorings)
+
+        monkeypatch.setattr(wl, "_refiner", counting)
+        inst = make()
+        part = stable_partition(inst)
+        assert (len(part.classes_v), len(part.classes_w)) == (inst.m, inst.n)
+        assert len(calls) == part.rounds_to_converge == refinements
 
     def test_round_zero_groups_by_features(self):
         cv, cw = refine_rounds(wl, build_graph(three_var_example()), 0)
