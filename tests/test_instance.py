@@ -143,12 +143,13 @@ class TestValidation:
         with pytest.raises(InstanceError, match="'integer'"):
             dataclasses.replace(tiny(), integer=integer)
 
-    @pytest.mark.parametrize("value", ["x", "1.5", "-inf", b"1", True, None])
     @pytest.mark.parametrize("field", ["c", "b", "lower", "upper", "a_vals"])
-    def test_a_value_that_is_no_number_names_its_field(self, field, value):
+    def test_a_value_that_is_no_number_names_its_field(self, field):
+        # numpy would read the strings, bytes and booleans as numbers and None as NaN
         cycle8 = counterexample_pair()[0]
-        with pytest.raises(InstanceError, match=f"field '{field}' holds a value that is not a number"):
-            dataclasses.replace(cycle8, **{field: [value] * getattr(cycle8, field).size})
+        for value in ["x", "1.5", "-inf", b"1", True, None]:
+            with pytest.raises(InstanceError, match=f"field '{field}' holds a value that is not a number"):
+                dataclasses.replace(cycle8, **{field: [value] * getattr(cycle8, field).size})
 
     @pytest.mark.parametrize("field", ["c", "upper", "integer", "a_rows"])
     def test_the_callers_array_stays_writeable(self, field):
