@@ -57,10 +57,10 @@ def _refine_once(colorings):
     return list(zip(nvw.reshape(k, m, n), nww.reshape(k, n, n)))
 
 
-def _refine_to_stability(graphs: list[MilpInstance], stop=None):
-    """Pair colors at joint stability, or where ``stop`` ends refinement
-    first, and the rounds run (``wl._fixpoint``)."""
-    return _fixpoint(_initial(graphs), _refine_once, stop)
+def _refine_to_stability(graphs: list[MilpInstance]):
+    """Pair colors at joint stability, or once the graphs' color multisets
+    part, and the rounds run (``wl._fixpoint``).  One graph never parts."""
+    return _fixpoint(_initial(graphs), _refine_once, _parted)
 
 
 def _moments(colors: np.ndarray):
@@ -68,11 +68,10 @@ def _moments(colors: np.ndarray):
 
 
 def _parted(colorings) -> bool:
-    """True only if the two graphs' VW or WW color multisets differ.  Equal
+    """True only if some two graphs' VW or WW color multisets differ.  Equal
     multisets have equal sums of ids and of squared ids, also where int64
     wraps, so unequal sums prove a difference."""
-    (vw1, ww1), (vw2, ww2) = colorings
-    return _moments(vw1) != _moments(vw2) or _moments(ww1) != _moments(ww2)
+    return len({(*_moments(vw), *_moments(ww)) for vw, ww in colorings}) > 1
 
 
 def fwl2_indistinguishable_W(g1: MilpInstance, g2: MilpInstance) -> bool:
@@ -94,7 +93,7 @@ def _fwl2_verdicts(g1: MilpInstance, g2: MilpInstance) -> tuple[bool, bool]:
     false from that coloring, since equal columns make equal wholes."""
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
-    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2], _parted)[0]
+    (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2])[0]
 
     def same(axis):
         return np.array_equal(np.sort(vw1, axis=axis), np.sort(vw2, axis=axis)) and np.array_equal(

@@ -354,9 +354,9 @@ class TestOneRefinementPerCommand:
         for module in (wl, fwl):
             inner = module._refine_to_stability
 
-            def counting(graphs, *stop, module=module, inner=inner):
+            def counting(graphs, module=module, inner=inner):
                 seen.append(module.__name__.rsplit(".", 1)[1])
-                return inner(graphs, *stop)
+                return inner(graphs)
 
             monkeypatch.setattr(module, "_refine_to_stability", counting)
         return seen

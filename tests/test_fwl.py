@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from milpgnn import fwl
+from milpgnn import fwl, wl
 from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import build_graph, permute
@@ -56,7 +56,7 @@ class TestStopOnceParted:
             for kind in ("equal", "different", "twin"):
                 a, b = insts[f"cycles_{size}_{kind}_a"], insts[f"cycles_{size}_{kind}_b"]
                 stopped = refinements(fwl._fwl2_verdicts, a, b)
-                full = refinements(lambda a, b: fwl._refine_to_stability([a, b]), a, b)
+                full = refinements(lambda a, b: wl._fixpoint(fwl._initial([a, b]), fwl._refine_once), a, b)
                 if kind == "different":
                     assert stopped < full, size
                 else:
