@@ -68,8 +68,7 @@ def _load(path: str) -> MilpInstance:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _jsonable(v):
@@ -84,11 +83,11 @@ def cmd_check_tractability(args) -> int:
     part = stable_partition(inst)
     tractable, witness = _block_verdict(inst, part)
     report = {
-        "I": [list(c) for c in part.classes_v],
-        "J": [list(c) for c in part.classes_w],
+        "I": part.classes_v,
+        "J": part.classes_w,
         "rounds": part.rounds_to_converge,
         "tractable": tractable,
-        "witness": list(witness) if witness is not None else None,
+        "witness": witness,
     }
     _emit(report)
     one = lambda cls: "{" + ", ".join("{" + ", ".join(str(i + 1) for i in c) + "}" for c in cls) + "}"

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -156,8 +157,10 @@ class MilpInstance:
             if t is not None:
                 raise InstanceError(f"triplet index out of range: triplet {t} of A is ({rows[t]}, {cols[t]}), A is {m}x{n}")
         rows, cols = _exact("a_rows", rows, np.int64), _exact("a_cols", cols, np.int64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        # serialize_instance writes the triplets in (row, col) order; only others need sorting
+        if not ((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] >= cols[:-1]))).all():
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
         for bad, rule in [
             (np.isnan(vals), "entries of A must be finite numbers, not NaN"),
             (np.isinf(vals), "entries of A must be finite numbers, not infinite"),
@@ -217,7 +220,18 @@ def _list(values, key: str, types: tuple, message: str) -> list:
     return values
 
 
-def _bounds(doc: dict, key: str) -> list:
+def _array(values: list, dtype) -> np.ndarray | list:
+    """values, whose JSON types the parser has checked, as an array of
+    dtype, so that ``MilpInstance`` reads no list element by element again.
+    A list holding an integer that dtype cannot hold stays a list, for
+    ``MilpInstance`` to name."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return values
+
+
+def _bounds(doc: dict, key: str) -> np.ndarray | list:
     """doc[key] with each bound string read as its infinity.  The wire format
     spells an absent bound only as a string, so a JSON number that reads as
     infinite (1e400, or Python's Infinity literal) is refused here."""
@@ -225,7 +239,7 @@ def _bounds(doc: dict, key: str) -> list:
     for j, v in enumerate(values):
         if (v not in _INF_STRINGS) if type(v) is str else (type(v) is float and math.isinf(v)):
             raise InstanceError(f"bad {key} bound {v!r} at variable {j}")
-    return [_INF_STRINGS[v] if type(v) is str else v for v in values]
+    return _array([_INF_STRINGS[v] if type(v) is str else v for v in values], float)
 
 
 def _bound_to_json(v: float):
@@ -271,21 +285,22 @@ def parse_instance(text: str | bytes) -> MilpInstance:
     if set(map(len, triplets)) - {3}:
         k = next(k for k, t in enumerate(triplets) if len(t) != 3)
         raise InstanceError(f"bad triplet {triplets[k]!r} at A[{k}]")
-    rows, cols, vals = map(list, zip(*triplets)) if triplets else ([], [], [])
+    flat = list(chain.from_iterable(triplets))
+    rows, cols, vals = flat[0::3], flat[1::3], flat[2::3]
     for idx in (rows, cols):
         _list(idx, "A", (int,), "triplet indices must be integers, not {v!r} in triplet {i} of A")
     return MilpInstance(
         m=m,
         n=n,
-        c=_list(doc["c"], "c", _NUMBER, "c[{i}] must be a number, not {v!r}"),
-        b=_list(doc["b"], "b", _NUMBER, "b[{i}] must be a number, not {v!r}"),
-        senses=_list(doc["senses"], "senses", (int,), f"field 'senses': {_SENSE_RULE}, not {{v!r}} at row {{i}}"),
+        c=_array(_list(doc["c"], "c", _NUMBER, "c[{i}] must be a number, not {v!r}"), float),
+        b=_array(_list(doc["b"], "b", _NUMBER, "b[{i}] must be a number, not {v!r}"), float),
+        senses=_array(_list(doc["senses"], "senses", (int,), f"field 'senses': {_SENSE_RULE}, not {{v!r}} at row {{i}}"), np.int64),
         lower=_bounds(doc, "lower"),
         upper=_bounds(doc, "upper"),
-        integer=_list(doc["integer"], "integer", (bool,), "integer flags must be booleans, not {v!r} at variable {i}"),
-        a_rows=rows,
-        a_cols=cols,
-        a_vals=_list(vals, "A", _NUMBER, "the value of triplet {i} of A must be a number, not {v!r}"),
+        integer=_array(_list(doc["integer"], "integer", (bool,), "integer flags must be booleans, not {v!r} at variable {i}"), bool),
+        a_rows=_array(rows, np.int64),
+        a_cols=_array(cols, np.int64),
+        a_vals=_array(_list(vals, "A", _NUMBER, "the value of triplet {i} of A must be a number, not {v!r}"), float),
     )
 
 

@@ -81,9 +81,12 @@ class LpOutcome:
     kkt_residual: float = 0.0
 
 
+_SIGN_OF_SENSE = np.array([-1.0, 0.0, 1.0])  # indexed by Sense code: LE, EQ, GE
+
+
 def _row_sign(inst: MilpInstance) -> np.ndarray:
     """+1 on >= rows, -1 on <= rows, 0 on = rows: inequality rows read sign * (Ax - b) >= 0."""
-    return np.select([inst.senses == Sense.GE, inst.senses == Sense.LE], [1.0, -1.0], 0.0)
+    return _SIGN_OF_SENSE[inst.senses]
 
 
 def solve_lp(inst: MilpInstance) -> LpOutcome:

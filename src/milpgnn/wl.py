@@ -18,6 +18,7 @@ own: a discrete coloring cannot split further.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,10 +42,12 @@ class StablePartition:
 
 
 def _group(colors) -> tuple[tuple[int, ...], ...]:
+    """Members of each color.  A dict keeps its keys in insertion order, so
+    the classes come out ordered by smallest member."""
     by_color: dict[int, list[int]] = {}
     for idx, c in enumerate(np.asarray(colors).tolist()):
         by_color.setdefault(c, []).append(idx)
-    return tuple(tuple(v) for v in sorted(by_color.values()))
+    return tuple(map(tuple, by_color.values()))
 
 
 def _ids(rows: np.ndarray) -> np.ndarray:
@@ -165,10 +168,11 @@ def stable_partition(g: MilpInstance) -> StablePartition:
 
 def _blocks(classes, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Class index of each member, and the first member of each class."""
+    sizes = np.fromiter(map(len, classes), np.int64, len(classes))
+    members = np.fromiter(chain.from_iterable(classes), np.int64, size)
     label = np.empty(size, dtype=np.int64)
-    for p, cls in enumerate(classes):
-        label[list(cls)] = p
-    return label, np.array([cls[0] for cls in classes], dtype=np.int64)
+    label[members] = np.repeat(np.arange(len(classes)), sizes)
+    return label, members[np.cumsum(sizes) - sizes]
 
 
 def is_mp_tractable(inst: MilpInstance) -> tuple[bool, tuple[int, int, int, int, int, int] | None]:
@@ -186,9 +190,10 @@ def _block_verdict(inst: MilpInstance, part: StablePartition):
     a = inst.dense_matrix()
     block_v, first_v = _blocks(part.classes_v, inst.m)
     block_w, first_w = _blocks(part.classes_w, inst.n)
-    ii, jj = np.nonzero(a != a[np.ix_(first_v[block_v], first_w[block_w])])
-    if not ii.size:
+    differs = a != a[first_v[block_v]][:, first_w[block_w]]
+    if not differs.any():
         return True, None
+    ii, jj = np.nonzero(differs)
     k = np.lexsort((jj, ii, block_w[jj], block_v[ii]))[0]
     p, q = int(block_v[ii[k]]), int(block_w[jj[k]])
     return False, (p, q, int(first_v[p]), int(ii[k]), int(first_w[q]), int(jj[k]))

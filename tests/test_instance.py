@@ -95,6 +95,15 @@ class TestValidation:
                 a_rows=np.array([0, 0]), a_cols=np.array([0, 0]), a_vals=np.array([1.0, 2.0]),
             )
 
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 1, 0], [1, 2, 0]])
+    def test_triplets_are_stored_sorted_from_any_order(self, order):
+        inst = tiny()
+        rows, cols, vals = (getattr(inst, f)[order] for f in ("a_rows", "a_cols", "a_vals"))
+        assert dataclasses.replace(inst, a_rows=rows, a_cols=cols, a_vals=vals) == inst
+        # a duplicate of (0, 2) that lands apart from it in the input order
+        with pytest.raises(InstanceError, match=r"duplicate \(row, col\) triplet in A: the entry at \(0, 2\)"):
+            dataclasses.replace(inst, a_rows=[*rows, 0], a_cols=[*cols, 2], a_vals=[*vals, 5.0])
+
     def test_out_of_range_index_rejected(self):
         with pytest.raises(InstanceError):
             MilpInstance(

@@ -181,9 +181,10 @@ ZERO_HEAVY = [0.0, -0.0, 1.0, -1.0, 2.0]
 
 @st.composite
 def zero_heavy_instances(draw, shape=None):
-    """Small instances whose c, b and finite bounds are often +0.0 or -0.0.
-    A holds no zeros at all: its support excludes them by construction."""
-    m, n = shape or (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    """Small instances, with no constraints or no variables among them, whose
+    c, b and finite bounds are often +0.0 or -0.0.  A holds no zeros at all:
+    its support excludes them by construction."""
+    m, n = shape or (draw(st.integers(0, 3)), draw(st.integers(0, 4)))
     vals = st.sampled_from(ZERO_HEAVY)
     bounds = []
     for _ in range(n):
