@@ -1,5 +1,6 @@
-"""Strong-branching scores on MILP graphs, color-refinement tractability
-tests, and message-passing / second-order folklore network surrogates."""
+"""Strong-branching scores on MILP graphs, color refinement (stable
+partitions with their tractability verdict, WL and 2-FWL compares), and
+message-passing / second-order folklore network surrogates."""
 
 from .instance import (
     InstanceError,
@@ -15,7 +16,7 @@ from .instance import (
 from .lp import LpOutcome, LpStatus, min_norm_solution, solve_lp
 from .sb import PRODUCT_RULE, SbScores, ScoreRule, sb_scores
 from .wl import is_mp_tractable, stable_partition, wl_indistinguishable
-from .fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
+from .fwl import fwl2_compare
 from .gen import PortableRng, counterexample_pair, gen_random, gen_set_cover, gen_training_set
 
 __all__ = [
@@ -39,8 +40,7 @@ __all__ = [
     "is_mp_tractable",
     "stable_partition",
     "wl_indistinguishable",
-    "fwl2_indistinguishable",
-    "fwl2_indistinguishable_W",
+    "fwl2_compare",
     "PortableRng",
     "counterexample_pair",
     "gen_random",

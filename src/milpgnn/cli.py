@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from . import nn
-from .fwl import _fwl2_verdicts
+from .fwl import fwl2_compare
 from .gen import counterexample_pair, gen_set_cover, gen_training_set
 from .instance import InstanceError, MilpInstance, load_instance, serialize_instance
 from .lp import LpNumericalError
@@ -47,7 +47,7 @@ from .sb import (
     ScoreRule,
     sb_scores,
 )
-from .wl import _block_verdict, is_mp_tractable, stable_partition, wl_indistinguishable
+from .wl import is_mp_tractable, stable_partition, wl_indistinguishable
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -81,13 +81,13 @@ def _jsonable(v):
 def cmd_check_tractability(args) -> int:
     inst = _load(args.instance)
     part = stable_partition(inst)
-    tractable, witness = _block_verdict(inst, part)
+    tractable = part.witness is None
     report = {
         "I": part.classes_v,
         "J": part.classes_w,
         "rounds": part.rounds_to_converge,
         "tractable": tractable,
-        "witness": witness,
+        "witness": part.witness,
     }
     _emit(report)
     one = lambda cls: "{" + ", ".join("{" + ", ".join(str(i + 1) for i in c) + "}" for c in cls) + "}"
@@ -118,7 +118,7 @@ def cmd_fwl2_compare(args) -> int:
     a, b = _load(args.a), _load(args.b)
     if (a.m, a.n) != (b.m, b.n):
         raise CliInputError(f"size mismatch: ({a.m},{a.n}) vs ({b.m},{b.n})")
-    whole, per_column = _fwl2_verdicts(a, b)
+    whole, per_column = fwl2_compare(a, b)
     _emit({"indistinguishable": whole, "indistinguishable_W": per_column})
     return EXIT_OK
 
@@ -349,7 +349,7 @@ def cmd_reproduce_counterexample(args) -> int:
     fg = nn.init_params("fgnn2", 64, 2, seed=args.seed + 1)
     # one forward per graph: a batch of two may round differently
     fgnn_sep = float(np.abs(nn.gnn_forward(fg, inst_a) - nn.gnn_forward(fg, inst_b)).max())
-    fwl_whole, fwl_per_column = _fwl2_verdicts(inst_a, inst_b)
+    fwl_whole, fwl_per_column = fwl2_compare(inst_a, inst_b)
     _emit(
         {
             "sb_cycle8": sa.scores.tolist(),

@@ -1,5 +1,5 @@
 """Second-order folklore color refinement on node pairs, and the two
-indistinguishability relations it induces.
+indistinguishability relations it induces, both answered by ``fwl2_compare``.
 
 Pairs come in two kinds: (constraint, variable) and (variable, variable).
 Colorings are stored dense because every update ranges over all of V or W
@@ -7,9 +7,9 @@ regardless of sparsity.  Colors are ids of integer signature rows as in the
 node-level test (``wl``), which also provides the fixpoint loop.  Each graph
 is an instance itself, its floats compared by exact value.  Graphs refined
 jointly have equal shape and are stacked along a leading axis; the ids of
-the two pair kinds never overlap.  The fixpoint loop's two stop rules hold
-here too, and a compare of two graphs also stops once their pair-color
-multisets provably differ, since both verdicts are false from then on.
+the two pair kinds never overlap.  The fixpoint loop's stop rules hold here
+too: a compare of two graphs stops once their pair-color multisets provably
+differ, since both verdicts are false from then on.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ import numpy as np
 from .instance import MilpInstance
 from .wl import _disjoint, _fixpoint, _ids, _node_keys
 
-__all__ = [
-    "fwl2_indistinguishable",
-    "fwl2_indistinguishable_W",
-]
+__all__ = ["fwl2_compare"]
 
 
 def _initial(graphs: list[MilpInstance]):
@@ -60,37 +57,18 @@ def _refine_once(colorings):
 def _refine_to_stability(graphs: list[MilpInstance]):
     """Pair colors at joint stability, or once the graphs' color multisets
     part, and the rounds run (``wl._fixpoint``).  One graph never parts."""
-    return _fixpoint(_initial(graphs), _refine_once, _parted)
+    return _fixpoint(_initial(graphs), _refine_once)
 
 
-def _moments(colors: np.ndarray):
-    return colors.sum(), np.vdot(colors, colors)
-
-
-def _parted(colorings) -> bool:
-    """True only if some two graphs' VW or WW color multisets differ.  Equal
-    multisets have equal sums of ids and of squared ids, also where int64
-    wraps, so unequal sums prove a difference."""
-    return len({(*_moments(vw), *_moments(ww)) for vw, ww in colorings}) > 1
-
-
-def fwl2_indistinguishable_W(g1: MilpInstance, g2: MilpInstance) -> bool:
-    """Per-variable-column criterion: at joint stability, for every j both the
-    (i, j) color column over i and the (j1, j) color column over j1 must agree
-    across the two graphs as multisets."""
-    return _fwl2_verdicts(g1, g2)[1]
-
-
-def fwl2_indistinguishable(g1: MilpInstance, g2: MilpInstance) -> bool:
-    """Whole-multiset criterion over all pair colors of each kind."""
-    return _fwl2_verdicts(g1, g2)[0]
-
-
-def _fwl2_verdicts(g1: MilpInstance, g2: MilpInstance) -> tuple[bool, bool]:
-    """(whole-multiset, per-column) verdicts from one joint refinement.  It
-    stops once the two graphs' color multisets part: refinement only splits
-    classes, so from then on both verdicts stay false, and they come out
-    false from that coloring, since equal columns make equal wholes."""
+def fwl2_compare(g1: MilpInstance, g2: MilpInstance) -> tuple[bool, bool]:
+    """(whole-multiset, per-column) verdicts from one joint refinement.  The
+    whole-multiset criterion asks that all pair colors of each kind agree
+    across the two graphs as multisets; the per-column one, that for every j
+    both the (i, j) color column over i and the (j1, j) color column over j1
+    agree.  The refinement stops once the two graphs' color multisets part:
+    it only splits classes, so from then on both verdicts stay false, and
+    they come out false from that coloring, since equal columns make equal
+    wholes."""
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
     (vw1, ww1), (vw2, ww2) = _refine_to_stability([g1, g2])[0]

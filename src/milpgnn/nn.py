@@ -47,6 +47,7 @@ import numpy as np
 from .instance import MilpInstance
 
 __all__ = [
+    "DivergenceError",
     "Mlp",
     "GnnParams",
     "TrainConfig",

@@ -1,5 +1,5 @@
-"""Color refinement on the bipartite MILP graph, stable partitions, and the
-message-passing tractability check.
+"""Color refinement on the bipartite MILP graph, stable partitions with
+their message-passing tractability verdict, and the WL test of two graphs.
 
 A color is the id of an integer signature row: all rows of a round are
 ranked at once by one lexsort, one stable pass per column, so equal ids mean
@@ -12,13 +12,14 @@ Several graphs are refined as their disjoint union, so colors stay
 comparable across them.  The fixpoint loop here also drives the pair
 refinement in ``fwl``.  It stops when a round leaves the class count as it
 was, or, without that confirming round, once every cell has a class of its
-own: a discrete coloring cannot split further.
+own: a discrete coloring cannot split further.  Refining several graphs, it
+also stops once their color multisets part, since refinement only splits
+classes and they stay parted; one graph never parts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -34,11 +35,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StablePartition:
-    """Fixed point of refinement: classes ordered by smallest member."""
+    """Fixed point of refinement: classes ordered by smallest member, and the
+    tractability witness (``is_mp_tractable``), None when every block of A
+    is constant."""
 
     classes_v: tuple[tuple[int, ...], ...]
     classes_w: tuple[tuple[int, ...], ...]
     rounds_to_converge: int
+    witness: tuple[int, int, int, int, int, int] | None
 
 
 def _group(colors) -> tuple[tuple[int, ...], ...]:
@@ -74,18 +78,30 @@ def _class_count(colorings) -> int:
     return max((int(a.max()) for pair in colorings for a in pair if a.size), default=-1) + 1
 
 
-def _fixpoint(colorings, refine_once, stop=None):
+def _moments(colors: np.ndarray):
+    return colors.sum(), np.vdot(colors, colors)
+
+
+def _parted(colorings) -> bool:
+    """True only if some two graphs' color multisets of one kind differ.
+    Equal multisets have equal sums of ids and of squared ids, also where
+    int64 wraps, so unequal sums prove a difference."""
+    return len({(*_moments(a), *_moments(b)) for a, b in colorings}) > 1
+
+
+def _fixpoint(colorings, refine_once):
     """Refine until the class count stops growing, every cell has a class of
-    its own, or ``stop(colorings)`` holds before a round.  Every signature
-    holds the old color, so a round can only split classes: an equal count
-    means an equal partition, and a discrete one cannot split further.
-    Returns the last coloring reached before stopping, and the number of
-    rounds that changed something."""
+    its own, or the graphs' colorings part (``_parted``) before a round.
+    Every signature holds the old color, so a round can only split classes:
+    an equal count means an equal partition, a discrete one cannot split
+    further, and parted graphs stay parted.  Returns the last coloring
+    reached before stopping, and the number of rounds that changed
+    something."""
     classes = _class_count(colorings)
     cells = sum(a.size for pair in colorings for a in pair)
     rounds = 0
     while True:
-        if classes == cells or (stop is not None and stop(colorings)):
+        if classes == cells or _parted(colorings):
             return colorings, rounds
         nxt = refine_once(colorings)
         count = _class_count(nxt)
@@ -156,23 +172,32 @@ def _refine_to_stability(graphs: list[MilpInstance]):
     return _fixpoint(*_refiner(graphs))
 
 
+def _blocks(colors: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
+    """Class index of each node, and the first member of each class."""
+    first = np.fromiter((c[0] for c in classes), np.intp, len(classes))
+    index = np.empty(int(colors.max(initial=-1)) + 1, dtype=np.intp)
+    index[colors[first]] = np.arange(len(classes))
+    return index[colors], first
+
+
+def _witness(a: np.ndarray, block_v, first_v, block_w, first_w):
+    """The first entry of A, in block order, unlike its block's first entry,
+    as ``is_mp_tractable`` reports it; None when every block is constant."""
+    differs = a != a[first_v[block_v]][:, first_w[block_w]]
+    if not differs.any():
+        return None
+    ii, jj = np.nonzero(differs)
+    k = np.lexsort((jj, ii, block_w[jj], block_v[ii]))[0]
+    p, q = int(block_v[ii[k]]), int(block_w[jj[k]])
+    return p, q, int(first_v[p]), int(ii[k]), int(first_w[q]), int(jj[k])
+
+
 def stable_partition(g: MilpInstance) -> StablePartition:
     colorings, rounds = _refine_to_stability([g])
     cv, cw = colorings[0]
-    return StablePartition(
-        classes_v=_group(cv),
-        classes_w=_group(cw),
-        rounds_to_converge=rounds,
-    )
-
-
-def _blocks(classes, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class index of each member, and the first member of each class."""
-    sizes = np.fromiter(map(len, classes), np.int64, len(classes))
-    members = np.fromiter(chain.from_iterable(classes), np.int64, size)
-    label = np.empty(size, dtype=np.int64)
-    label[members] = np.repeat(np.arange(len(classes)), sizes)
-    return label, members[np.cumsum(sizes) - sizes]
+    classes_v, classes_w = _group(cv), _group(cw)
+    witness = _witness(g.dense_matrix(), *_blocks(cv, classes_v), *_blocks(cw, classes_w))
+    return StablePartition(classes_v, classes_w, rounds, witness)
 
 
 def is_mp_tractable(inst: MilpInstance) -> tuple[bool, tuple[int, int, int, int, int, int] | None]:
@@ -182,26 +207,15 @@ def is_mp_tractable(inst: MilpInstance) -> tuple[bool, tuple[int, int, int, int,
     Returns (True, None) or (False, (p, q, i, i2, j, j2)) where
     A[i, j] != A[i2, j2] inside block (p, q), i and j are the first row and
     column of the block, and (p, q, i2, j2) is the smallest such tuple."""
-    return _block_verdict(inst, stable_partition(inst))
-
-
-def _block_verdict(inst: MilpInstance, part: StablePartition):
-    """``is_mp_tractable``'s verdict on an already computed stable partition."""
-    a = inst.dense_matrix()
-    block_v, first_v = _blocks(part.classes_v, inst.m)
-    block_w, first_w = _blocks(part.classes_w, inst.n)
-    differs = a != a[first_v[block_v]][:, first_w[block_w]]
-    if not differs.any():
-        return True, None
-    ii, jj = np.nonzero(differs)
-    k = np.lexsort((jj, ii, block_w[jj], block_v[ii]))[0]
-    p, q = int(block_v[ii[k]]), int(block_w[jj[k]])
-    return False, (p, q, int(first_v[p]), int(ii[k]), int(first_w[q]), int(jj[k]))
+    witness = stable_partition(inst).witness
+    return witness is None, witness
 
 
 def wl_indistinguishable(g1: MilpInstance, g2: MilpInstance) -> bool:
     """True iff at joint stability the constraint color multisets match and
-    the variable colors match index by index."""
+    the variable colors match index by index.  The refinement stops once the
+    two graphs' colorings part, and the verdict, false from then on, comes
+    out false from that coloring."""
     if (g1.m, g1.n) != (g2.m, g2.n):
         raise ValueError(f"size mismatch: ({g1.m},{g1.n}) vs ({g2.m},{g2.n})")
     (cv1, cw1), (cv2, cw2) = _refine_to_stability([g1, g2])[0]

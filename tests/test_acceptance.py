@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from milpgnn import nn
-from milpgnn.fwl import fwl2_indistinguishable_W
+from milpgnn.fwl import fwl2_compare
 from milpgnn.gen import counterexample_pair, gen_random, gen_training_set
 from milpgnn.instance import build_graph, permute
 from milpgnn.lp import (
@@ -148,7 +148,7 @@ class TestCriterion6Fgnn2SeparationAndFit:
 
 class TestCriterion7Fwl2Consistency:
     def test_counterexample_pair_not_equivalent(self):
-        assert not fwl2_indistinguishable_W(CYCLE_G, SPLIT_G)
+        assert not fwl2_compare(CYCLE_G, SPLIT_G)[1]
 
     def test_two_hundred_random_pairs(self):
         fired = 0
@@ -156,7 +156,7 @@ class TestCriterion7Fwl2Consistency:
             ia = gen_random(2 * k, m=3, n=6, nnz=9)
             ib = gen_random(2 * k + 1, m=3, n=6, nnz=9)
             ga, gb = build_graph(ia), build_graph(ib)
-            if fwl2_indistinguishable_W(ga, gb):
+            if fwl2_compare(ga, gb)[1]:
                 fired += 1
                 sa = sb_scores(ia).scores
                 sb = sb_scores(ib).scores
@@ -167,7 +167,7 @@ class TestCriterion7Fwl2Consistency:
             inst = gen_random(k, m=3, n=6, nnz=9)
             p = permute(inst, rng.permutation(3), np.arange(6))
             if solve_lp(inst).status == LpStatus.OPTIMAL:
-                assert fwl2_indistinguishable_W(build_graph(inst), build_graph(p))
+                assert fwl2_compare(build_graph(inst), build_graph(p))[1]
                 assert np.abs(sb_scores(inst).scores - sb_scores(p).scores).max() <= 1e-7
 
 

@@ -6,15 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from milpgnn import fwl, wl
-from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
+from milpgnn import fwl
+from milpgnn.fwl import fwl2_compare
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import build_graph, permute
 from milpgnn.sb import sb_scores
 from milpgnn.wl import wl_indistinguishable
 from test_sb import cycle_cover
 from test_sb_corpus import CYCLES, refinement_corpus
-from tests_helpers import class_count, refine_rounds
+from tests_helpers import class_count, refine_rounds, refinements_to_joint_stability
 
 
 class TestRefinement:
@@ -55,8 +55,8 @@ class TestStopOnceParted:
         for size in CYCLES:
             for kind in ("equal", "different", "twin"):
                 a, b = insts[f"cycles_{size}_{kind}_a"], insts[f"cycles_{size}_{kind}_b"]
-                stopped = refinements(fwl._fwl2_verdicts, a, b)
-                full = refinements(lambda a, b: wl._fixpoint(fwl._initial([a, b]), fwl._refine_once), a, b)
+                stopped = refinements(fwl2_compare, a, b)
+                full = refinements_to_joint_stability(fwl._initial([a, b]), once)
                 if kind == "different":
                     assert stopped < full, size
                 else:
@@ -94,22 +94,19 @@ def test_cycle_cover_verdicts_match_reference(pair):
     # cycle covers part at round 1 to 4, later than the tie-heavy pairs of
     # test_wl, so a stop after round 0 meets the reference too
     a, b = pair
-    assert fwl2_indistinguishable(a, b) == oracles.fwl2_indistinguishable(a, b)
-    assert fwl2_indistinguishable_W(a, b) == oracles.fwl2_indistinguishable_W(a, b)
+    assert fwl2_compare(a, b) == (oracles.fwl2_indistinguishable(a, b), oracles.fwl2_indistinguishable_W(a, b))
     assert wl_indistinguishable(a, b) == oracles.wl_indistinguishable(a, b)
 
 
 class TestSeparation:
     def test_counterexample_pair_separated(self):
         g1, g2 = (build_graph(i) for i in counterexample_pair())
-        assert not fwl2_indistinguishable(g1, g2)
-        assert not fwl2_indistinguishable_W(g1, g2)
+        assert fwl2_compare(g1, g2) == (False, False)
 
     def test_self_comparison_indistinguishable(self):
         for inst in counterexample_pair():
             g = build_graph(inst)
-            assert fwl2_indistinguishable(g, g)
-            assert fwl2_indistinguishable_W(g, g)
+            assert fwl2_compare(g, g) == (True, True)
 
     def test_column_criterion_implies_whole_multiset(self):
         # per-column equality subsumes the whole-multiset one
@@ -117,21 +114,22 @@ class TestSeparation:
         pairs.append(counterexample_pair())
         for ia, ib in pairs:
             ga, gb = build_graph(ia), build_graph(ib)
-            if fwl2_indistinguishable_W(ga, gb):
-                assert fwl2_indistinguishable(ga, gb)
+            whole, per_column = fwl2_compare(ga, gb)
+            if per_column:
+                assert whole
 
     def test_size_mismatch_raises(self):
         g1 = build_graph(gen_random(0, m=3, n=5, nnz=6))
         g2 = build_graph(gen_random(0))
         with pytest.raises(ValueError):
-            fwl2_indistinguishable(g1, g2)
+            fwl2_compare(g1, g2)
 
     def test_variable_permutation_preserves_whole_multiset_relation(self):
         inst = gen_set_cover(3, 4, 5, 0.4)
         g = build_graph(inst)
         rng = np.random.default_rng(0)
         p = permute(inst, rng.permutation(4), rng.permutation(5))
-        assert fwl2_indistinguishable(g, build_graph(p))
+        assert fwl2_compare(g, build_graph(p))[0]
 
 
 class TestScoreConsistency:
@@ -154,7 +152,7 @@ class TestScoreConsistency:
         for sigma in itertools.permutations(range(inst.n)):
             p = permute(inst, np.arange(inst.m), np.array(sigma))
             gp = build_graph(p)
-            if fwl2_indistinguishable_W(g, gp):
+            if fwl2_compare(g, gp)[1]:
                 scores_p = self._sb_or_none(p)
                 assert scores_p is not None
                 assert np.abs(scores_p[np.array(sigma)] - base).max() <= 1e-7
@@ -167,7 +165,7 @@ class TestScoreConsistency:
             ia = gen_random(seed, m=3, n=6, nnz=9)
             ib = gen_random(seed + 1, m=3, n=6, nnz=9)
             ga, gb = build_graph(ia), build_graph(ib)
-            if fwl2_indistinguishable_W(ga, gb):
+            if fwl2_compare(ga, gb)[1]:
                 sa, sb = self._sb_or_none(ia), self._sb_or_none(ib)
                 if sa is not None and sb is not None:
                     assert np.abs(sa - sb).max() <= 1e-7

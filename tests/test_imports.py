@@ -12,7 +12,8 @@ must be read somewhere in the package, or be listed in its module's
 definition.  Each name in the package's and each module's
 ``__all__`` must resolve on the imported module, so a kept alias such as
 ``MilpGraph`` cannot disappear silently, and each name the package's
-``__init__.py`` imports from a module must be in that module's ``__all__``.
+``__init__.py`` or ``cli.py`` reads from a module, by ``from .x import y`` or
+as ``x.y`` after ``from . import x``, must be in that module's ``__all__``.
 """
 
 import ast
@@ -183,23 +184,43 @@ def test_the_check_sees_a_missing_export():
     assert unresolved(module) == ["absent"]
 
 
-def exports_outside_all(init_source: str, exports: dict[str, set[str]]) -> list[str]:
-    """Names the package's ``__init__`` imports from one of its modules
-    (module name -> that module's ``__all__``) that the module does not
-    export."""
-    missing = []
-    for node in ast.parse(init_source).body:
+def reads_outside_all(source: str, exports: dict[str, set[str]]) -> list[str]:
+    """Names a source reads from one of the package's modules (module name
+    -> that module's ``__all__``), by ``from .x import y`` or as ``x.y``
+    after ``from . import x``, that the module does not export."""
+    tree = ast.parse(source)
+    modules, read = {}, set()
+    for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            missing += [f"{node.module}: {alias.name}" for alias in node.names if alias.name not in exports[node.module]]
-    return sorted(missing)
+            if node.module is None:
+                modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            else:
+                read.update((node.module, alias.name) for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            read.add((modules[node.value.id], node.attr))
+    return sorted(f"{module}: {name}" for module, name in read if name not in exports[module])
+
+
+def module_exports() -> dict[str, set[str]]:
+    return {os.path.basename(path)[:-3]: exported(ast.parse(source)) for path, source in read_all(FILES).items()}
 
 
 def test_every_package_export_is_in_its_modules_all():
-    exports = {os.path.basename(path)[:-3]: exported(ast.parse(source)) for path, source in read_all(FILES).items()}
     with open(os.path.join(PACKAGE, "__init__.py")) as fh:
-        assert exports_outside_all(fh.read(), exports) == []
+        assert reads_outside_all(fh.read(), module_exports()) == []
 
 
 def test_the_check_sees_an_export_outside_its_modules_all():
     source = "from .a import kept, dropped\nfrom .b import other\nfrom os import path\n"
-    assert exports_outside_all(source, {"a": {"kept"}, "b": set()}) == ["a: dropped", "b: other"]
+    assert reads_outside_all(source, {"a": {"kept"}, "b": set()}) == ["a: dropped", "b: other"]
+
+
+def test_the_cli_reads_only_exported_names():
+    with open(os.path.join(PACKAGE, "cli.py")) as fh:
+        assert reads_outside_all(fh.read(), module_exports()) == []
+
+
+def test_the_check_sees_a_private_name_read_as_an_attribute():
+    source = "from . import a\nfrom . import b as bee\nimport os\na.kept()\na._hidden\nbee.Error\nos.path\n"
+    assert reads_outside_all(source, {"a": {"kept"}, "b": set()}) == ["a: _hidden", "b: Error"]

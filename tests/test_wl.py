@@ -6,11 +6,11 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from milpgnn import fwl, wl
-from milpgnn.fwl import fwl2_indistinguishable, fwl2_indistinguishable_W
+from milpgnn.fwl import fwl2_compare
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, build_graph, permute
 from milpgnn.wl import StablePartition, is_mp_tractable, stable_partition, wl_indistinguishable
-from tests_helpers import class_count, refine_rounds
+from tests_helpers import class_count, refine_rounds, refinements_to_joint_stability
 
 
 def three_var_example() -> MilpInstance:
@@ -29,6 +29,20 @@ def three_var_example() -> MilpInstance:
         a_cols=np.array([0, 1, 2, 0, 1]),
         a_vals=np.ones(5),
     )
+
+
+@pytest.fixture
+def refine_calls(monkeypatch):
+    """One entry per WL refinement round run from here on."""
+    refiner = wl._refiner
+    calls = []
+
+    def counting(graphs):
+        colorings, refine_once = refiner(graphs)
+        return colorings, lambda colorings: calls.append(1) or refine_once(colorings)
+
+    monkeypatch.setattr(wl, "_refiner", counting)
+    return calls
 
 
 class TestStablePartition:
@@ -52,21 +66,13 @@ class TestStablePartition:
         [(lambda: gen_set_cover(0, 100, 200, 0.1), 2), (lambda: gen_random(0), 0), (lambda: gen_random(1), 0)],
         ids=["set-cover 100x200", "random 0", "random 1"],
     )
-    def test_a_discrete_coloring_is_not_refined_again(self, monkeypatch, make, refinements):
+    def test_a_discrete_coloring_is_not_refined_again(self, refine_calls, make, refinements):
         # every node ends in a class of its own, after `refinements` rounds,
         # and no round follows to confirm it
-        refiner = wl._refiner
-        calls = []
-
-        def counting(graphs):
-            colorings, refine_once = refiner(graphs)
-            return colorings, lambda colorings: calls.append(1) or refine_once(colorings)
-
-        monkeypatch.setattr(wl, "_refiner", counting)
         inst = make()
         part = stable_partition(inst)
         assert (len(part.classes_v), len(part.classes_w)) == (inst.m, inst.n)
-        assert len(calls) == part.rounds_to_converge == refinements
+        assert len(refine_calls) == part.rounds_to_converge == refinements
 
     def test_round_zero_groups_by_features(self):
         cv, cw = refine_rounds(wl, build_graph(three_var_example()), 0)
@@ -158,6 +164,18 @@ class TestIndistinguishability:
             wl_indistinguishable(g1, g2)
 
 
+class TestStopOnceParted:
+    def test_parted_pairs_stop_before_joint_stability(self, refine_calls):
+        # two random 30x60 set covers part after one round, a few rounds
+        # before their joint stability
+        for seed in range(0, 40, 2):
+            a, b = gen_set_cover(seed, 30, 60, 0.1), gen_set_cover(seed + 1, 30, 60, 0.1)
+            refine_calls.clear()
+            assert wl_indistinguishable(a, b) is oracles.wl_indistinguishable(a, b) is False
+            stopped = len(refine_calls)
+            assert stopped < refinements_to_joint_stability(*wl._refiner([a, b])), seed
+
+
 class TestComplexityTrend:
     def test_refinement_cost_scales_near_linearly_in_rounds(self):
         # one round over a fixed graph should cost O(edges); check a factor-3
@@ -230,7 +248,7 @@ class TestSignedZero:
         g, gt = build_graph(inst), build_graph(twin)
         assert stable_partition(gt) == stable_partition(g)
         assert wl_indistinguishable(g, gt)
-        assert fwl2_indistinguishable(g, gt)
+        assert fwl2_compare(g, gt)[0]
 
     def test_cycle8_with_negative_zero_bound(self):
         cycle = counterexample_pair()[0]
@@ -243,7 +261,7 @@ class TestSignedZero:
         )
         assert stable_partition(build_graph(twin)).classes_w == (tuple(range(8)),)
         assert wl_indistinguishable(build_graph(cycle), build_graph(twin))
-        assert fwl2_indistinguishable(build_graph(cycle), build_graph(twin))
+        assert fwl2_compare(build_graph(cycle), build_graph(twin))[0]
 
 
 @st.composite
@@ -268,12 +286,12 @@ class TestAgainstOracle:
         for inst, g in ((a, ga), (b, gb)):
             part = stable_partition(g)
             assert (part.classes_v, part.classes_w, part.rounds_to_converge) == oracles.stable_partition(g)
+            assert part.witness == oracles.mp_tractability_witness(inst)
             assert is_mp_tractable(inst)[1] == oracles.mp_tractability_witness(inst)
             colorings, rounds = fwl._refine_to_stability([g])
             assert (wl._class_count(colorings), rounds) == oracles.fwl2_stable(g)
         assert wl_indistinguishable(ga, gb) == oracles.wl_indistinguishable(ga, gb)
-        assert fwl2_indistinguishable(ga, gb) == oracles.fwl2_indistinguishable(ga, gb)
-        assert fwl2_indistinguishable_W(ga, gb) == oracles.fwl2_indistinguishable_W(ga, gb)
+        assert fwl2_compare(ga, gb) == (oracles.fwl2_indistinguishable(ga, gb), oracles.fwl2_indistinguishable_W(ga, gb))
 
     def test_witness_is_first_in_block_order(self):
         # column classes {0, 5}, {1, 3}, {2, 4}: block (0, 0) offends at
@@ -348,13 +366,13 @@ class TestDegenerateShapes:
     def test_every_check_runs(self, a, b, classes, classes_b, pair_classes, verdicts):
         ga, gb = build_graph(a), build_graph(b)
         assert tuple(map(wl._group, refine_rounds(wl, ga, 2))) == classes
-        assert stable_partition(ga) == StablePartition(*classes, rounds_to_converge=0)
-        assert stable_partition(gb) == StablePartition(*classes_b, rounds_to_converge=0)
+        assert stable_partition(ga) == StablePartition(*classes, rounds_to_converge=0, witness=None)
+        assert stable_partition(gb) == StablePartition(*classes_b, rounds_to_converge=0, witness=None)
         assert is_mp_tractable(a) == (True, None) and is_mp_tractable(b) == (True, None)
         vw, ww = refine_rounds(fwl, ga, 1)
         assert vw.shape == (a.m, a.n) and ww.shape == (a.n, a.n)
         assert class_count((vw, ww)) == pair_classes[0]
         stable = [fwl._refine_to_stability([g]) for g in (ga, gb)]
         assert [(rounds, wl._class_count(colorings)) for colorings, rounds in stable] == [(0, k) for k in pair_classes]
-        assert (wl_indistinguishable(ga, ga), fwl2_indistinguishable(ga, ga), fwl2_indistinguishable_W(ga, ga)) == (True, True, True)
-        assert (wl_indistinguishable(ga, gb), fwl2_indistinguishable(ga, gb), fwl2_indistinguishable_W(ga, gb)) == verdicts
+        assert (wl_indistinguishable(ga, ga), *fwl2_compare(ga, ga)) == (True, True, True)
+        assert (wl_indistinguishable(ga, gb), *fwl2_compare(ga, gb)) == verdicts

@@ -22,6 +22,21 @@ def refine_rounds(module, g: MilpInstance, rounds: int):
     return colorings[0]
 
 
+def refinements_to_joint_stability(colorings, refine_once) -> int:
+    """Rounds that ``refine_once`` runs on several graphs until the class
+    count stays or every cell has a class of its own: joint stability, as
+    the fixpoint loop reaches it without its stop once the graphs part."""
+    cells = sum(a.size for pair in colorings for a in pair)
+    classes, rounds = wl._class_count(colorings), 0
+    while classes < cells:
+        colorings, rounds = refine_once(colorings), rounds + 1
+        count = wl._class_count(colorings)
+        if count == classes:
+            break
+        classes = count
+    return rounds
+
+
 def class_count(colors) -> int:
     """Distinct colors over both kinds of one graph's coloring."""
     return wl._class_count([colors])
