@@ -9,7 +9,9 @@ checked parser type, so a bad argument is found before any file is read and
 reads ``error: argument --dim: must be >= 1, got '0'``.  ``generate`` refuses,
 in that format, an option its --family does not read.  Machine-readable
 JSON goes to stdout with 0-based indices; the human-readable partition
-summary uses 1-based indices.
+summary uses 1-based indices.  Stdout holds one JSON document, exactly as
+``json.dumps(obj, indent=2)`` writes it, then a newline; tests/sb_corpus.json
+pins it byte for byte.
 
 ``generate`` and ``train`` create --out before their work, so that a name
 the OS refuses ends the command first; when the command then fails, the
@@ -32,6 +34,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -67,8 +70,39 @@ def _load(path: str) -> MilpInstance:
         raise CliInputError(f"{path}: {exc}") from exc
 
 
+_ENCODE = json.JSONEncoder(separators=(",\n", ": "), check_circular=False).encode
+_INT = {int}
+_SEQ = (list, tuple)
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, for dicts with string keys, lists and
+    tuples at any depth, and the leaves json encodes alone.  Leaves and lists
+    of leaves go through json's C encoder, whose only line breaks are its
+    item separators, since it escapes control characters in strings.  Lists
+    of plain ints, and lists of those, are joined from ``str``; the test is
+    ``type(v) is int``, so a bool never prints as ``True``."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [_ENCODE(k) + ": " + _json(v, inner) for k, v in obj.items()]
+    elif not isinstance(obj, _SEQ):
+        return _ENCODE(obj)
+    elif (types := set(map(type, obj))) <= _INT:
+        items = map(str, obj)
+    elif not any(issubclass(t, (*_SEQ, dict)) for t in types):
+        items = [_ENCODE(obj)[1:-1].replace("\n", inner)]
+    elif types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= _INT:
+        deeper = inner + "  "
+        sep = "," + deeper
+        items = [f"[{deeper}{sep.join(map(str, v))}{inner}]" if v else "[]" for v in obj]
+    else:
+        items = [_json(v, inner) for v in obj]
+    left, right = "{}" if isinstance(obj, dict) else "[]"
+    return left + inner + ("," + inner).join(items) + pad + right if obj else left + right
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_json(obj) + "\n")
 
 
 def _jsonable(v):
@@ -90,7 +124,8 @@ def cmd_check_tractability(args) -> int:
         "witness": part.witness,
     }
     _emit(report)
-    one = lambda cls: "{" + ", ".join("{" + ", ".join(str(i + 1) for i in c) + "}" for c in cls) + "}"
+    label = [str(i + 1) for i in range(max(inst.m, inst.n))]
+    one = lambda cls: "{" + ", ".join(["{" + ", ".join([label[i] for i in c]) + "}" for c in cls]) + "}"
     print(f"stable partition (1-based): I = {one(part.classes_v)}, J = {one(part.classes_w)}", file=sys.stderr)
     print("verdict:", "tractable" if tractable else "intractable", file=sys.stderr)
     return EXIT_OK if tractable else EXIT_INTRACTABLE
@@ -327,7 +362,7 @@ def cmd_generate(args) -> int:
             with open(os.path.join(args.out, name), "w") as fh:
                 fh.write(serialize_instance(inst))
         with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2)
+            fh.write(_json(manifest))
     _emit({"written": len(insts), "out": args.out, "rejected": rejected})
     return EXIT_OK
 

@@ -75,6 +75,8 @@ def _exact(name: str, values, dtype) -> np.ndarray:
     """values as an array of dtype.  A cast that would change a value (1.7
     as an int64, 0.5 as a bool) is an InstanceError naming the field."""
     raw = np.asarray(values)
+    if raw.dtype == dtype:  # as the parser hands them over: no cast, so no value changes
+        return raw
     try:
         with np.errstate(invalid="ignore"):
             cast = raw.astype(dtype, copy=False)
@@ -83,6 +85,13 @@ def _exact(name: str, values, dtype) -> np.ndarray:
     if cast is None or not np.array_equal(cast, raw):
         raise InstanceError(f"field {name!r} holds a value that {np.dtype(dtype).name} cannot represent exactly")
     return cast
+
+
+def _column_order(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The triplets in stable column order, and each column's start in it (n + 1
+    offsets).  numpy radix-sorts the narrowest unsigned dtype that holds n."""
+    start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return np.argsort(cols.astype(np.min_scalar_type(n)), kind="stable"), start
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -138,7 +147,7 @@ class MilpInstance:
         for name, (arr, size) in dict(sizes, a_rows=(rows, k), a_cols=(cols, k), a_vals=(vals, k)).items():
             if arr.shape != (size,):
                 raise InstanceError(f"field {name!r} has length {arr.shape}, expected {size}")
-        if (i := _first(~np.isin(senses, (0, 1, 2)))) is not None:
+        if (i := _first(~((senses == 0) | (senses == 1) | (senses == 2)))) is not None:
             raise InstanceError(f"field 'senses': {_SENSE_RULE}, not {senses[i]} at row {i}")
         for name, arr in (("c", c), ("b", b)):
             if (i := _first(~np.isfinite(arr))) is not None:
@@ -236,10 +245,13 @@ def _bounds(doc: dict, key: str) -> np.ndarray | list:
     spells an absent bound only as a string, so a JSON number that reads as
     infinite (1e400, or Python's Infinity literal) is refused here."""
     values = _list(doc[key], key, (int, float, str), key + " bound must be a number or a string, not {v!r} at variable {i}")
-    for j, v in enumerate(values):
-        if (v not in _INF_STRINGS) if type(v) is str else (type(v) is float and math.isinf(v)):
-            raise InstanceError(f"bad {key} bound {v!r} at variable {j}")
-    return _array([_INF_STRINGS[v] if type(v) is str else v for v in values], float)
+    try:  # ``in`` compares by value: it finds json's float infinities, and no integer
+        if math.inf not in values and -math.inf not in values:
+            return _array([_INF_STRINGS[v] if type(v) is str else v for v in values], float)
+    except KeyError:  # a string that names no bound
+        pass
+    j = next(j for j, v in enumerate(values) if ((v not in _INF_STRINGS) if type(v) is str else (type(v) is float and math.isinf(v))))
+    raise InstanceError(f"bad {key} bound {values[j]!r} at variable {j}")
 
 
 def _bound_to_json(v: float):
@@ -281,14 +293,21 @@ def parse_instance(text: str | bytes) -> MilpInstance:
     m, n = doc["m"], doc["n"]
     if type(m) is not int or type(n) is not int:
         raise InstanceError("m and n must be integers")
-    triplets = _list(doc["A"], "A", (list,), "bad triplet {v!r} at A[{i}]")
-    if set(map(len, triplets)) - {3}:
-        k = next(k for k, t in enumerate(triplets) if len(t) != 3)
-        raise InstanceError(f"bad triplet {triplets[k]!r} at A[{k}]")
-    flat = list(chain.from_iterable(triplets))
+    try:  # in JSON only a list, an object or a string has a length
+        threes = type(doc["A"]) is list and set(map(len, doc["A"])) <= {3}
+    except TypeError:
+        threes = False
+    flat = list(chain.from_iterable(doc["A"])) if threes else []
     rows, cols, vals = flat[0::3], flat[1::3], flat[2::3]
-    for idx in (rows, cols):
-        _list(idx, "A", (int,), "triplet indices must be integers, not {v!r} in triplet {i} of A")
+    if not threes or not set(map(type, rows)) | set(map(type, cols)) <= {int}:
+        # an object or a string of three yields strings, which no index is, so
+        # the triplets are checked to be lists only here, to name the first bad one
+        triplets = _list(doc["A"], "A", (list,), "bad triplet {v!r} at A[{i}]")
+        if set(map(len, triplets)) - {3}:
+            k = next(k for k, t in enumerate(triplets) if len(t) != 3)
+            raise InstanceError(f"bad triplet {triplets[k]!r} at A[{k}]")
+        for idx in (rows, cols):
+            _list(idx, "A", (int,), "triplet indices must be integers, not {v!r} in triplet {i} of A")
     return MilpInstance(
         m=m,
         n=n,

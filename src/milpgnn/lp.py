@@ -34,7 +34,7 @@ except ImportError as exc:  # a private module: scipy may move or drop it
         f"which the installed scipy {scipy.__version__} does not provide (tested with scipy 1.17.x)"
     ) from exc
 
-from .instance import MilpInstance, Sense
+from .instance import MilpInstance, Sense, _column_order
 
 __all__ = [
     "LpStatus",
@@ -161,7 +161,6 @@ def _highs_model(inst: MilpInstance, cost, lower, upper, row_lower, row_upper, w
     row_upper, lower <= x <= upper, with A passed column-wise from the
     triplets; ``what`` names the model in the error raised when HiGHS
     refuses it."""
-    order = np.argsort(inst.a_cols, kind="stable")
     model = _highs.HighsLp()
     model.num_col_, model.num_row_ = inst.n, inst.m
     model.col_cost_, model.col_lower_, model.col_upper_ = cost, lower, upper
@@ -169,7 +168,7 @@ def _highs_model(inst: MilpInstance, cost, lower, upper, row_lower, row_upper, w
     matrix = model.a_matrix_
     matrix.format_ = _highs.MatrixFormat.kColwise
     matrix.num_col_, matrix.num_row_ = inst.n, inst.m
-    matrix.start_ = np.concatenate([[0], np.cumsum(np.bincount(inst.a_cols, minlength=inst.n))])
+    order, matrix.start_ = _column_order(inst.a_cols, inst.n)
     matrix.index_ = inst.a_rows[order]
     matrix.value_ = inst.a_vals[order]
     highs = _highs._Highs()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import MilpInstance
+from .instance import MilpInstance, _column_order
 
 __all__ = [
     "StablePartition",
@@ -135,15 +135,6 @@ def _signatures(colors: np.ndarray, node: np.ndarray, slot: np.ndarray, keys: np
     return np.column_stack([colors, nb])
 
 
-def _slots(node: np.ndarray) -> np.ndarray:
-    """Position of each edge among the edges of its node."""
-    order = np.argsort(node, kind="stable")
-    grouped = node[order]
-    slot = np.empty_like(node)
-    slot[order] = np.arange(node.size) - np.searchsorted(grouped, grouped)
-    return slot
-
-
 def _refiner(graphs: list[MilpInstance]):
     """Initial colors of each graph, and one refinement round over the
     disjoint union of the graphs."""
@@ -152,7 +143,11 @@ def _refiner(graphs: list[MilpInstance]):
     ns = np.cumsum([0] + [g.n for g in graphs])
     rows = np.concatenate([g.a_rows + off for g, off in zip(graphs, ms)])
     cols = np.concatenate([g.a_cols + off for g, off in zip(graphs, ns)])
-    slot_v, slot_w = _slots(rows), _slots(cols)
+    # a slot is an edge's position among its node's edges; triplets are stored by row
+    slot_v = np.arange(rows.size) - np.searchsorted(rows, rows)
+    order, start = _column_order(cols, ns[-1])
+    slot_w = np.empty_like(cols)
+    slot_w[order] = np.arange(cols.size) - start[cols[order]]
     weights = int(wid.max()) + 1 if wid.size else 1
 
     def split(cv, cw):

@@ -1,17 +1,24 @@
 import argparse
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from milpgnn import cli, gen, lp, nn
 from milpgnn.cli import main
-from milpgnn.gen import counterexample_pair, gen_random, gen_training_set
+from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover, gen_training_set
 from milpgnn.instance import serialize_instance
 from milpgnn.sb import sb_scores
+from milpgnn.wl import stable_partition
 
 
 @pytest.fixture()
@@ -606,3 +613,79 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
         assert bad.read_text() == "{not json"
     if case in NAMED:
         assert captured.err.startswith(f"error: argument {NAMED[case]}: ")
+
+
+# Leaves json.dumps encodes alone, with the values where a writer could part
+# from it: ints past 2**53, floats in repr form or non-finite, bools among
+# ints, and strings that need escapes or are not ASCII.
+LEAVES = (
+    st.integers()
+    | st.sampled_from([2**53 + 1, -(2**53 + 1), 10**30])
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-300, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(["+inf", '"', "\\", "a\"b\\c", "\x00\n\t\x1f", "é", "日本", " ", "😀"])
+    | st.text(max_size=4)
+)
+INT_LISTS = st.lists(st.integers() | st.booleans(), max_size=4)
+DOCUMENTS = st.recursive(
+    LEAVES | INT_LISTS | INT_LISTS.map(tuple),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+@example(doc={"I": ((0,), (1, 2)), "J": [[], [True, 1]], "rounds": 2, "tractable": False, "witness": None})
+@example(doc={"deltas": [[0.5, "+inf"], [-0.0, 5e-324]], "seed": 10**30, "out": "dir/é\n"})
+def test_stdout_is_json_dumps_indent_2(doc):
+    """The CLI prints each document as ``json.dumps(obj, indent=2)`` and a
+    line break, byte for byte."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def partition_summary(inst) -> str:
+    """check-tractability's stderr, built from the stable partition's
+    classes: the classes with 1-based members, then the verdict."""
+    part = stable_partition(inst)
+    one = lambda classes: "{" + ", ".join("{" + ", ".join(str(i + 1) for i in c) + "}" for c in classes) + "}"
+    verdict = "tractable" if part.witness is None else "intractable"
+    return f"stable partition (1-based): I = {one(part.classes_v)}, J = {one(part.classes_w)}\nverdict: {verdict}\n"
+
+
+def without(inst, kind: str):
+    """inst with its constraints (kind "rows") or its variables dropped."""
+    if kind == "rows":
+        return dataclasses.replace(inst, m=0, b=[], senses=[], a_rows=[], a_cols=[], a_vals=[])
+    return dataclasses.replace(inst, n=0, c=[], lower=[], upper=[], integer=[], a_rows=[], a_cols=[], a_vals=[])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["cycle8", "split", "tiny", "no rows", "no columns", "set cover 100x200"],
+)
+def test_partition_summary_on_stderr(capsys, tmp_path, name):
+    from test_instance import tiny
+
+    cycle8, split = counterexample_pair()
+    inst = {
+        "cycle8": cycle8,
+        "split": split,
+        "tiny": tiny(),
+        "no rows": without(tiny(), "rows"),
+        "no columns": without(tiny(), "columns"),
+        "set cover 100x200": gen_set_cover(3_131_000, 100, 200, 0.1),
+    }[name]
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(inst))
+    code = main(["check-tractability", str(path)])
+    err = capsys.readouterr().err
+    assert err == partition_summary(inst)
+    assert code == (cli.EXIT_OK if err.endswith("verdict: tractable\n") else cli.EXIT_INTRACTABLE)
