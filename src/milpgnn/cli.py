@@ -299,7 +299,8 @@ def cmd_train(args) -> int:
         dataset = _load_dataset(args.data)
         cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs, target_loss=args.target)
         try:
-            trained, curve = nn.train(params, dataset, cfg)
+            with np.errstate(over="ignore", invalid="ignore"):  # the NaN check reports a divergence
+                trained, curve = nn.train(params, dataset, cfg)
         except nn.DivergenceError as exc:
             raise nn.DivergenceError(len(done) + exc.epoch) from exc
         curve = [(len(done) + epoch, value, lr) for epoch, value, lr in curve]

@@ -3,13 +3,13 @@ indistinguishability relations it induces, both answered by ``fwl2_compare``.
 
 Pairs come in two kinds: (constraint, variable) and (variable, variable).
 Colorings are stored dense because every update ranges over all of V or W
-regardless of sparsity.  Colors are ids of integer signature rows as in the
-node-level test (``wl``), which also provides the fixpoint loop.  Each graph
-is an instance itself, its floats compared by exact value.  Graphs refined
-jointly have equal shape and are stacked along a leading axis; the ids of
-the two pair kinds never overlap.  The fixpoint loop's stop rules hold here
-too: a compare of two graphs stops once their pair-color multisets provably
-differ, since both verdicts are false from then on.
+regardless of sparsity.  Colors are ids of signature rows as in ``wl``,
+which also provides the node features and the fixpoint loop; round 0 takes
+A's entries as floats, compared by exact value.  Graphs refined jointly
+have one shape (m, n) and are stacked along a leading axis; the ids of the
+two pair kinds never overlap.  The fixpoint loop's stop rules hold here
+too: a compare of two graphs stops once their pair-color multisets
+provably differ, since both verdicts are false from then on.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ def _initial(graphs: list[MilpInstance]):
     """Round-0 pair colors: VW from (constraint features, variable features,
     A_ij with structural zeros), WW from (both variables' features, j1 == j2)."""
     k, m, n = len(graphs), graphs[0].m, graphs[0].n
-    kv, kw, aid = _node_keys(graphs, [g.dense_matrix().ravel() for g in graphs])
-    kv, kw, aid = kv.reshape(k, m, 1), kw.reshape(k, 1, n), aid.reshape(k, m, n)
-    vw = np.stack(np.broadcast_arrays(kv, kw, aid), axis=-1)
+    kv, kw = _node_keys(graphs)
+    kv, kw = kv.reshape(k, m, 1), kw.reshape(k, 1, n)
+    vw = np.stack(np.broadcast_arrays(kv, kw, np.stack([g.dense_matrix() for g in graphs])), axis=-1)
     diag = np.broadcast_to(np.eye(n, dtype=np.int64), (k, n, n))
     ww = np.stack(np.broadcast_arrays(kw.transpose(0, 2, 1), kw, diag), axis=-1)
     vw, ww = _disjoint(_ids(vw.reshape(-1, 3)), _ids(ww.reshape(-1, 3)))

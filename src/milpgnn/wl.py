@@ -1,20 +1,23 @@
 """Color refinement on the bipartite MILP graph, stable partitions with
 their message-passing tractability verdict, and the WL test of two graphs.
 
-A color is the id of an integer signature row: all rows of a round are
-ranked at once by one lexsort, one stable pass per column, so equal ids mean
-equal signatures and the scheme is collision-free by construction.  A round's
-signature is the node's own color followed by the sorted multiset of
-(neighbor color, edge weight) keys, padded to the largest degree.  The
-graph is the instance itself.  Node features and edge weights enter as
-value ids: floats are numbered by exact value, so -0.0 and 0.0 share an id.
-Several graphs are refined as their disjoint union, so colors stay
-comparable across them.  The fixpoint loop here also drives the pair
-refinement in ``fwl``.  It stops when a round leaves the class count as it
-was, or, without that confirming round, once every cell has a class of its
-own: a discrete coloring cannot split further.  Refining several graphs, it
-also stops once their color multisets part, since refinement only splits
-classes and they stay parted; one graph never parts.
+A color is the id of a signature row: all rows of a round are ranked at
+once by one lexsort, one stable pass per column, so equal ids mean equal
+signatures and the scheme is collision-free by construction.  The graph is
+the instance itself.  Round 0 ranks the feature rows (b, sense) and (c,
+lower, upper, integer) straight from their floats, and each edge weight by
+its rank among the edge weights; floats compare by exact value, so -0.0 and
+0.0 share an id.  A later round's signature is the node's own color followed
+by the sorted multiset of (neighbor color, edge weight) keys, padded to the
+largest degree.  Graphs refined jointly have one shape (m, n) and are refined
+as their disjoint union, so colors stay comparable across them: each graph's
+colors are one row of the union's, reshaped to (graphs, m) and (graphs, n).
+The fixpoint loop here also drives the pair refinement in ``fwl``.  It
+stops when a round leaves the class count as it was, or, without that
+confirming round, once every cell has a class of its own: a discrete
+coloring cannot split further.  Refining several graphs, it also stops once
+their color multisets part, since refinement only splits classes and they
+stay parted; one graph never parts.
 """
 
 from __future__ import annotations
@@ -45,13 +48,18 @@ class StablePartition:
     witness: tuple[int, int, int, int, int, int] | None
 
 
-def _group(colors) -> tuple[tuple[int, ...], ...]:
-    """Members of each color.  A dict keeps its keys in insertion order, so
-    the classes come out ordered by smallest member."""
+def _group(colors: np.ndarray):
+    """Members of each color, the class index of each node, and the first
+    member of each class.  A dict keeps its keys in insertion order, so the
+    classes come out ordered by smallest member."""
     by_color: dict[int, list[int]] = {}
-    for idx, c in enumerate(np.asarray(colors).tolist()):
+    for idx, c in enumerate(colors.tolist()):
         by_color.setdefault(c, []).append(idx)
-    return tuple(map(tuple, by_color.values()))
+    classes = tuple(map(tuple, by_color.values()))
+    first = np.fromiter((c[0] for c in classes), np.intp, len(classes))
+    index = np.empty(int(colors.max(initial=-1)) + 1, dtype=np.intp)
+    index[colors[first]] = np.arange(len(classes))
+    return classes, index[colors], first
 
 
 def _ids(rows: np.ndarray) -> np.ndarray:
@@ -111,19 +119,13 @@ def _fixpoint(colorings, refine_once):
         rounds += 1
 
 
-def _node_keys(graphs: list[MilpInstance], weights: list[np.ndarray]):
-    """Feature ids of all constraint and all variable nodes, in graph order,
-    and value ids of the concatenated ``weights``.  Floats are compared by
-    exact value."""
-    fields = [[getattr(g, name) for g in graphs] for name in ("b", "c", "lower", "upper")] + [weights]
-    parts = [np.concatenate(f) for f in fields]
-    ids = np.unique(np.concatenate(parts), return_inverse=True)[1]
-    b, c, lower, upper, w = np.split(ids, np.cumsum([p.size for p in parts])[:-1])
-    senses = np.concatenate([g.senses for g in graphs])
-    integer = np.concatenate([g.integer for g in graphs])
-    kv = _ids(np.column_stack([b, senses]))
-    kw = _ids(np.column_stack([c, lower, upper, integer]))
-    return kv, kw, w
+def _node_keys(graphs: list[MilpInstance]):
+    """Feature ids of all constraint and all variable nodes, in graph order:
+    the rank of each (b, sense) and each (c, lower, upper, integer) row."""
+    def ranks(*fields):
+        return _ids(np.column_stack([np.concatenate([getattr(g, f) for g in graphs]) for f in fields]))
+
+    return ranks("b", "senses"), ranks("c", "lower", "upper", "integer")
 
 
 def _signatures(colors: np.ndarray, node: np.ndarray, slot: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -137,25 +139,24 @@ def _signatures(colors: np.ndarray, node: np.ndarray, slot: np.ndarray, keys: np
 
 def _refiner(graphs: list[MilpInstance]):
     """Initial colors of each graph, and one refinement round over the
-    disjoint union of the graphs."""
-    kv, kw, wid = _node_keys(graphs, [g.a_vals for g in graphs])
-    ms = np.cumsum([0] + [g.m for g in graphs])
-    ns = np.cumsum([0] + [g.n for g in graphs])
-    rows = np.concatenate([g.a_rows + off for g, off in zip(graphs, ms)])
-    cols = np.concatenate([g.a_cols + off for g, off in zip(graphs, ns)])
+    disjoint union of the graphs, which have one shape (m, n)."""
+    k, m, n = len(graphs), graphs[0].m, graphs[0].n
+    kv, kw = _node_keys(graphs)
+    rows = np.concatenate([g.a_rows + i * m for i, g in enumerate(graphs)])
+    cols = np.concatenate([g.a_cols + i * n for i, g in enumerate(graphs)])
+    wid = _ids(np.concatenate([g.a_vals for g in graphs])[:, None])
     # a slot is an edge's position among its node's edges; triplets are stored by row
     slot_v = np.arange(rows.size) - np.searchsorted(rows, rows)
-    order, start = _column_order(cols, ns[-1])
+    order, start = _column_order(cols, k * n)
     slot_w = np.empty_like(cols)
     slot_w[order] = np.arange(cols.size) - start[cols[order]]
     weights = int(wid.max()) + 1 if wid.size else 1
 
     def split(cv, cw):
-        return list(zip(np.split(cv, ms[1:-1]), np.split(cw, ns[1:-1])))
+        return list(zip(cv.reshape(k, m), cw.reshape(k, n)))
 
     def refine_once(colorings):
-        cv = np.concatenate([v for v, _ in colorings])
-        cw = np.concatenate([w for _, w in colorings])
+        cv, cw = map(np.concatenate, zip(*colorings))
         sig_v = _signatures(cv, rows, slot_v, cw[cols] * weights + wid)
         sig_w = _signatures(cw, cols, slot_w, cv[rows] * weights + wid)
         return split(*_disjoint(_ids(sig_v), _ids(sig_w)))
@@ -165,14 +166,6 @@ def _refiner(graphs: list[MilpInstance]):
 
 def _refine_to_stability(graphs: list[MilpInstance]):
     return _fixpoint(*_refiner(graphs))
-
-
-def _blocks(colors: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
-    """Class index of each node, and the first member of each class."""
-    first = np.fromiter((c[0] for c in classes), np.intp, len(classes))
-    index = np.empty(int(colors.max(initial=-1)) + 1, dtype=np.intp)
-    index[colors[first]] = np.arange(len(classes))
-    return index[colors], first
 
 
 def _witness(a: np.ndarray, block_v, first_v, block_w, first_w):
@@ -189,10 +182,8 @@ def _witness(a: np.ndarray, block_v, first_v, block_w, first_w):
 
 def stable_partition(g: MilpInstance) -> StablePartition:
     colorings, rounds = _refine_to_stability([g])
-    cv, cw = colorings[0]
-    classes_v, classes_w = _group(cv), _group(cw)
-    witness = _witness(g.dense_matrix(), *_blocks(cv, classes_v), *_blocks(cw, classes_w))
-    return StablePartition(classes_v, classes_w, rounds, witness)
+    (classes_v, *blocks_v), (classes_w, *blocks_w) = map(_group, colorings[0])
+    return StablePartition(classes_v, classes_w, rounds, _witness(g.dense_matrix(), *blocks_v, *blocks_w))
 
 
 def is_mp_tractable(inst: MilpInstance) -> tuple[bool, tuple[int, int, int, int, int, int] | None]:

@@ -295,8 +295,9 @@ def finite_difference_grad(fn, arrays, h=1e-5, samples=40, seed=0):
 
 
 def unique_row_ids(rows: np.ndarray) -> np.ndarray:
-    """Dense lexicographic rank of each row of an integer matrix, from
-    numpy's sort of the rows as one structured value each."""
+    """Dense lexicographic rank of each row of an integer or float matrix,
+    from numpy's sort of the rows as one structured value each; floats
+    compare by value, so -0.0 and 0.0 share a rank."""
     return np.unique(rows, axis=0, return_inverse=True)[1]
 
 

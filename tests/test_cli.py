@@ -7,6 +7,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +208,18 @@ class TestTrain:
             "--dim", "4", "--epochs", "3", "--out", str(tmp_path / "run"),
         )
         assert code == 0 and report["epochs_run"] == 3
+
+    @pytest.mark.parametrize("arch", ["mpgnn", "fgnn2"])
+    def test_divergence_prints_only_its_error_line(self, tmp_path, arch):
+        # pytest captures numpy's warnings, so only a process of its own shows what reaches stderr
+        out = tmp_path / "D"
+        argv = ["--arch", arch, "--data", "counterexample", "--dim", "8", "--layers", "1", "--epochs", "3", "--lr", "1e300"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "milpgnn.cli", "train", *argv, "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        )
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_NUMERICAL, "error: loss diverged to NaN at epoch 1\n")
+        assert not out.exists()
 
     def test_bad_data_dir_exit_one(self, capsys, tmp_path):
         code, _ = run(
