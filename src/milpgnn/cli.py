@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Exit codes are a stable contract: 0 success, 1 input error (a bad file or
-argument), 2 undefined branching scores (infeasible or unbounded relaxation),
-3 intractable verdict from check-tractability, 4 numerical failure (the LP
-backend or the min-norm QP failed to converge, or the training loss became
-NaN).  Every failure prints one ``error:`` line to stderr.  Each option has a
+Exit codes are a stable contract, all mapped in ``main``: 0 success, 1
+input error (a bad file or argument), 2 undefined branching scores (one
+error for an infeasible or unbounded relaxation), 3 intractable verdict
+from check-tractability, 4 numerical failure (the LP backend or the
+min-norm QP failed to converge, or the training loss became NaN).  Every
+failure prints one ``error:`` line to stderr.  Each option has a
 checked parser type, so a bad argument is found before any file is read and
 reads ``error: argument --dim: must be >= 1, got '0'``.  ``generate`` refuses,
 in that format, an option its --family does not read.  Machine-readable
@@ -43,13 +44,7 @@ from .fwl import fwl2_compare
 from .gen import counterexample_pair, gen_set_cover, gen_training_set
 from .instance import InstanceError, MilpInstance, load_instance, serialize_instance
 from .lp import LpNumericalError
-from .sb import (
-    PRODUCT_RULE,
-    RelaxationInfeasibleError,
-    RelaxationUnboundedError,
-    ScoreRule,
-    sb_scores,
-)
+from .sb import PRODUCT_RULE, ScoreRule, UndefinedScoresError, sb_scores
 from .wl import is_mp_tractable, stable_partition, wl_indistinguishable
 
 EXIT_OK = 0
@@ -132,12 +127,7 @@ def cmd_check_tractability(args) -> int:
 
 
 def cmd_sb_score(args) -> int:
-    inst = _load(args.instance)
-    try:
-        result = sb_scores(inst, args.rule)
-    except (RelaxationInfeasibleError, RelaxationUnboundedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED_SB
+    result = sb_scores(_load(args.instance), args.rule)
     _emit(
         {
             "f_star": result.f_star,
@@ -242,7 +232,7 @@ def _load_dataset(spec: str):
     for inst in insts:
         try:
             scores = sb_scores(inst).scores
-        except (RelaxationInfeasibleError, RelaxationUnboundedError) as exc:
+        except UndefinedScoresError as exc:
             raise CliInputError(f"instance with undefined SB in training data: {exc}") from exc
         dataset.append((inst, scores))
     return dataset
@@ -518,6 +508,9 @@ def main(argv=None) -> int:
     except (CliInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except UndefinedScoresError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDEFINED_SB
     except (LpNumericalError, nn.DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -47,8 +47,30 @@ class InstanceError(ValueError):
 
 
 _FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
-_NOT_NUMBERS = (str, bytes, bool, np.bool_, type(None))
+_BOOLEANS = (bool, np.bool_)
+_NOT_NUMBERS = (str, bytes, *_BOOLEANS, type(None))
 _SENSE_RULE = "sense codes must be the integers 0 (<=), 1 (=) or 2 (>=)"
+
+
+def _elements(values) -> tuple[np.ndarray, set]:
+    """values as an array, and the types of the elements of the caller's list
+    or object array.  A list holding a boolean stays objects: numpy would
+    read True as 1."""
+    raw = np.asarray(values)
+    items = values if isinstance(values, (list, tuple)) else raw.ravel() if raw.dtype == object else ()
+    types = set(map(type, items))
+    if not types.isdisjoint(_BOOLEANS):
+        raw = np.array(values, dtype=object)
+    return raw, types
+
+
+def _booleans(raw: np.ndarray) -> np.ndarray:
+    """Mask of the booleans in a 1-D array from ``_elements``; False if none can be."""
+    if raw.dtype == bool:
+        return np.ones(raw.shape, bool)
+    if raw.dtype == object:
+        return np.array([isinstance(v, _BOOLEANS) for v in raw], dtype=bool)
+    return np.False_
 
 
 def _floats(name: str, values, what: str) -> np.ndarray:
@@ -58,10 +80,8 @@ def _floats(name: str, values, what: str) -> np.ndarray:
     other value numpy cannot read as a float, is an InstanceError naming
     the field: numpy would read "1.5" and True as numbers."""
     try:
-        raw = np.asarray(values)
-        # a list mixing booleans with numbers reads as a number array
-        items = values if isinstance(values, (list, tuple)) else raw.ravel() if raw.dtype == object else ()
-        if raw.dtype.kind not in "iufO" or any(issubclass(t, _NOT_NUMBERS) for t in set(map(type, items))):
+        raw, types = _elements(values)
+        if raw.dtype.kind not in "iufO" or any(issubclass(t, _NOT_NUMBERS) for t in types):
             raise TypeError
         return raw.astype(float, copy=False)
     except OverflowError:
@@ -141,14 +161,15 @@ class MilpInstance:
             raise InstanceError("m and n must be nonnegative")
         c, b, lower, upper = (_floats(name, getattr(self, name), name + "[{}]") for name in ("c", "b", "lower", "upper"))
         vals = _floats("a_vals", self.a_vals, "the value of triplet {} of A")
-        senses, integer, rows, cols = map(np.asarray, (self.senses, self.integer, self.a_rows, self.a_cols))
+        (senses, _), (rows, _), (cols, _) = map(_elements, (self.senses, self.a_rows, self.a_cols))
+        integer = np.asarray(self.integer)
         k = vals.size
         sizes = dict(c=(c, n), b=(b, m), senses=(senses, m), lower=(lower, n), upper=(upper, n), integer=(integer, n))
         for name, (arr, size) in dict(sizes, a_rows=(rows, k), a_cols=(cols, k), a_vals=(vals, k)).items():
             if arr.shape != (size,):
                 raise InstanceError(f"field {name!r} has length {arr.shape}, expected {size}")
-        if (i := _first(~((senses == 0) | (senses == 1) | (senses == 2)))) is not None:
-            raise InstanceError(f"field 'senses': {_SENSE_RULE}, not {senses[i]} at row {i}")
+        if (i := _first(_booleans(senses) | ~((senses == 0) | (senses == 1) | (senses == 2)))) is not None:
+            raise InstanceError(f"field 'senses': {_SENSE_RULE}, not {senses.tolist()[i]!r} at row {i}")
         for name, arr in (("c", c), ("b", b)):
             if (i := _first(~np.isfinite(arr))) is not None:
                 kind = "NaN" if np.isnan(arr[i]) else "infinite"
@@ -159,6 +180,8 @@ class MilpInstance:
         if (j := _first(lower > upper)) is not None:
             raise InstanceError(f"lower bound exceeds upper bound at variable {j}")
         for idx, size in ((rows, m), (cols, n)):
+            if (t := _first(_booleans(idx))) is not None:
+                raise InstanceError(f"triplet indices must be integers, not {idx.tolist()[t]!r} in triplet {t} of A")
             try:
                 t = _first((idx < 0) | (idx >= size))
             except TypeError:  # not numbers, which the cast below refuses
@@ -183,10 +206,6 @@ class MilpInstance:
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.a_vals.size)
 
     def dense_matrix(self) -> np.ndarray:
         """A as a dense (m, n) array; fine at desk scale."""

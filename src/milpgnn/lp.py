@@ -187,9 +187,7 @@ class _ChildLps:
     (absolute below |f_star| = 1), or building raises ``LpNumericalError``.
     Each child starts from the kept basis; still, the children of one
     instance must be solved on a fresh model in a fixed order to repeat bit
-    for bit, since HiGHS keeps state beyond the basis between runs.  The
-    last child's solution is kept for ``point``, since restoring the bounds
-    invalidates HiGHS's own."""
+    for bit, since HiGHS keeps state beyond the basis between runs."""
 
     def __init__(self, inst: MilpInstance, f_star: float):
         self._lower, self._upper = inst.lower, inst.upper
@@ -207,32 +205,30 @@ class _ChildLps:
         self._highs.run()
         return self._highs.getModelStatus()
 
-    def objective(self, j: int, lower: float, upper: float) -> float:
-        """Optimum of the relaxation with x_j's bounds replaced by [lower,
-        upper]; +inf when that child is infeasible.  A child that HiGHS
-        calls unbounded restricts an optimal relaxation, so that status is
-        a tolerance artefact and raises ``LpNumericalError``."""
+    def solve(self, j: int, lower: float, upper: float) -> tuple[float, np.ndarray | None]:
+        """Optimum and optimal point of the relaxation with x_j's bounds
+        replaced by [lower, upper]; (+inf, None) when that child is
+        infeasible.  A child that HiGHS calls unbounded restricts an optimal
+        relaxation, so that status is a tolerance artefact and raises
+        ``LpNumericalError``.  The point is read before x_j's bounds are
+        restored, which invalidates HiGHS's solution; the restore comes
+        before any status is judged, so every outcome leaves the model as
+        it was."""
         if lower > upper:
-            return math.inf
+            return math.inf, None
         self._highs.setBasis(self._basis)
         self._highs.changeColBounds(j, lower, upper)
-        try:
-            status = self._run()
-            objective = self._highs.getInfo().objective_function_value
-            self._solution = self._highs.getSolution()  # a copy
-        finally:
-            self._highs.changeColBounds(j, self._lower[j], self._upper[j])
+        status = self._run()
+        objective = self._highs.getInfo().objective_function_value
+        point = np.asarray(self._highs.getSolution().col_value, dtype=float)
+        self._highs.changeColBounds(j, self._lower[j], self._upper[j])
         if status == _highs.HighsModelStatus.kOptimal:
-            return objective
+            return objective, point
         if status == _highs.HighsModelStatus.kInfeasible:
-            return math.inf
+            return math.inf, None
         if status == _highs.HighsModelStatus.kUnbounded:
             raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: unbounded below an optimal relaxation")
         raise LpNumericalError(f"LP backend failure on the child LP of x_{j}: {self._highs.modelStatusToString(status)}")
-
-    def point(self) -> np.ndarray:
-        """The optimal point of the child that ``objective`` solved last."""
-        return np.asarray(self._solution.col_value, dtype=float)
 
 
 def _primal_residual(inst: MilpInstance, ax: np.ndarray, x: np.ndarray) -> float:

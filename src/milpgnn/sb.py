@@ -14,7 +14,8 @@ greatest value over them.
 
 The relaxation is solved by ``solve_lp``.  The child LPs of one call run on
 one hot-started HiGHS model (``lp._ChildLps``), built for the first child
-that no known point settles and solved in variable order, down child first.
+that no known point settles; ``solve`` gives a child's optimum and point,
+in variable order, down child first.
 No model outlives the call, so a call's output does not depend on earlier
 calls.
 """
@@ -29,24 +30,13 @@ import numpy as np
 from .instance import MilpInstance
 from .lp import LpStatus, _ChildLps, min_norm_solution, solve_lp
 
-__all__ = [
-    "SbScores",
-    "ScoreRule",
-    "PRODUCT_RULE",
-    "RelaxationInfeasibleError",
-    "RelaxationUnboundedError",
-    "sb_scores",
-]
+__all__ = ["SbScores", "ScoreRule", "PRODUCT_RULE", "UndefinedScoresError", "sb_scores"]
 
 SNAP_TOL = 1e-9
 
 
-class RelaxationInfeasibleError(RuntimeError):
-    """SB is undefined: the LP relaxation is infeasible."""
-
-
-class RelaxationUnboundedError(RuntimeError):
-    """SB is undefined: the LP relaxation is unbounded."""
+class UndefinedScoresError(RuntimeError):
+    """SB is undefined: the LP relaxation is infeasible or unbounded."""
 
 
 @dataclass(frozen=True)
@@ -95,12 +85,10 @@ def _snap(x: np.ndarray) -> np.ndarray:
 
 def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
     """Score every variable of a MILP whose relaxation is feasible and
-    bounded; raises otherwise."""
+    bounded; raises ``UndefinedScoresError`` otherwise."""
     relax = solve_lp(inst)
-    if relax.status == LpStatus.INFEASIBLE:
-        raise RelaxationInfeasibleError("LP relaxation infeasible; SB undefined")
-    if relax.status == LpStatus.UNBOUNDED:
-        raise RelaxationUnboundedError("LP relaxation unbounded; SB undefined")
+    if relax.status != LpStatus.OPTIMAL:
+        raise UndefinedScoresError(f"LP relaxation {relax.status.value}; SB undefined")
     f_star = relax.objective
     x_star = min_norm_solution(inst, f_star, duals=relax.duals)
     snapped = _snap(x_star)
@@ -121,9 +109,9 @@ def sb_scores(inst: MilpInstance, rule: ScoreRule = PRODUCT_RULE) -> SbScores:
             if children is None:
                 children = _ChildLps(inst, f_star)
             # bound changes only shrink the feasible set, so clamp solver noise
-            deltas[j, side] = max(children.objective(j, lo, hi) - f_star, 0.0)
+            objective, point = children.solve(j, lo, hi)
+            deltas[j, side] = max(objective - f_star, 0.0)
             if deltas[j, side] == 0.0:  # the child's optimum is a relaxation optimum too
-                point = children.point()
                 lowest, highest = np.minimum(lowest, point), np.maximum(highest, point)
         d_down, d_up = deltas[j]
         scores[j] = -1.0 if math.isinf(d_down) or math.isinf(d_up) else rule.combine(d_down, d_up)

@@ -482,6 +482,12 @@ FAILURES = {
     "instance not utf-8": (["check-tractability", "{latin1}"], 1, None),
     "instance nested too deeply": (["check-tractability", "{deep}"], 1, None),
     "infeasible relaxation": (["sb-score", "{infeasible}"], 2, None),
+    "unbounded relaxation": (["sb-score", "{unbounded}"], 2, None),
+    "instance is a JSON array": (["sb-score", "{array}"], 1, None),
+    "bound string that names no bound": (["check-tractability", "{no_bound}"], 1, None),
+    "bound that is a JSON infinity": (["check-tractability", "{json_infinity}"], 1, None),
+    "triplet of two entries": (["sb-score", "{short_triplet}"], 1, None),
+    "negative m in the file": (["check-tractability", "{negative_m}"], 1, None),
     "intractable verdict": (["check-tractability", "{cycle}"], 3, None),
     "zero density": (["generate", "--family", "set-cover", "--density", "0", "--out", "{out}"], 1, None),
     "generate into ''": (["generate", "--count", "1", "--out", ""], 1, None),
@@ -531,6 +537,7 @@ FAILURES = {
     ),
     # ... and removed again, with the parents it made, when a later input error stops the command
     "train on data with undefined SB": (["train", "--arch", "mpgnn", "--data", "{undefined}", "--out", "{out}/sub"], 1, None),
+    "train on a directory without instance files": (["train", "--arch", "mpgnn", "--data", "{empty}", "--out", "{out}"], 1, None),
     "nan target": (TRAIN + ["--target", "nan"], 1, None),
     "negative target": (TRAIN + ["--target", "-1"], 1, None),
     "negative seed in training": (TRAIN + ["--seed", "-1"], 1, None),
@@ -584,13 +591,28 @@ NAMED = {
 }
 
 
+# Words of the error line that each of these failures prints.
+SAYS = {
+    "unbounded relaxation": "error: LP relaxation unbounded; SB undefined",
+    "instance is a JSON array": "top-level JSON value must be an object",
+    "bound string that names no bound": "bad lower bound 'x' at variable 0",
+    "bound that is a JSON infinity": "bad upper bound inf at variable 0",
+    "triplet of two entries": "bad triplet [0, 1] at A[0]",
+    "negative m in the file": "m and n must be nonnegative",
+    "train on a directory without instance files": "no instance files",
+}
+
+# One variable and no rows, with the bounds and triplets given as JSON text.
+TINY = '{{"m": {m}, "n": 1, "c": [1], "b": [], "senses": [], "lower": [{lower}], "upper": [{upper}], "integer": [true], "A": [{a}]}}'
+
+
 @pytest.mark.parametrize("case", FAILURES)
 def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatch, tmp_path):
     """cli.main returns the documented code without raising.  A failure puts
     one ``error:`` line on stderr and nothing on stdout; the intractable
     verdict is a report, not a failure.  An input error is found before
     --out is created, and a bad argument is named in the line."""
-    from tests_helpers import infeasible_file, stalled_qp_file
+    from tests_helpers import infeasible_file, stalled_qp_file, unbounded_file
 
     argv, expected, patch = FAILURES[case]
     cycle = tmp_path / "data" / "cycle.json"
@@ -606,10 +628,21 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
     undefined = tmp_path / "undefined"
     undefined.mkdir()
     infeasible_file(undefined)
+    (tmp_path / "empty").mkdir()
+    malformed = {
+        "array": "[" + serialize_instance(counterexample_pair()[0]) + "]",
+        "no_bound": TINY.format(m=0, lower='"x"', upper=1, a=""),
+        "json_infinity": TINY.format(m=0, lower=0, upper="1e400", a=""),
+        "short_triplet": TINY.format(m=0, lower=0, upper=1, a="[0, 1]"),
+        "negative_m": TINY.format(m=-1, lower=0, upper=1, a=""),
+    }
+    for name, text in malformed.items():
+        (tmp_path / f"{name}.json").write_text(text)
     paths = {
         "bad": bad, "latin1": latin1, "deep": deep, "infeasible": infeasible_file(tmp_path), "cycle": cycle, "data": cycle.parent,
         "out": tmp_path / "out", "dangling": dangling, "long": tmp_path / ("a" * 300), "undefined": undefined,
-        "stalled": stalled_qp_file(tmp_path),
+        "stalled": stalled_qp_file(tmp_path), "unbounded": unbounded_file(tmp_path), "empty": tmp_path / "empty",
+        **{name: tmp_path / f"{name}.json" for name in malformed},
     }
     if patch is not None:
         patch(monkeypatch)
@@ -627,6 +660,8 @@ def test_every_failure_exits_with_its_code_and_one_line(case, capsys, monkeypatc
         assert bad.read_text() == "{not json"
     if case in NAMED:
         assert captured.err.startswith(f"error: argument {NAMED[case]}: ")
+    if case in SAYS:
+        assert SAYS[case] in captured.err
 
 
 # Leaves json.dumps encodes alone, with the values where a writer could part

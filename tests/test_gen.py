@@ -86,13 +86,13 @@ class TestRandomFamily:
             gen_random(0, m=2, n=2, nnz=5)
 
     def test_sb_never_crashes_across_seeds(self):
-        from milpgnn.sb import RelaxationInfeasibleError, RelaxationUnboundedError, sb_scores
+        from milpgnn.sb import UndefinedScoresError, sb_scores
 
         for seed in range(100):
             inst = gen_random(seed, m=3, n=6, nnz=9)
             try:
                 sb_scores(inst)
-            except (RelaxationInfeasibleError, RelaxationUnboundedError):
+            except UndefinedScoresError:
                 pass
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,14 +114,21 @@ class TestValidation:
                 a_rows=np.array([0]), a_cols=np.array([5]), a_vals=np.array([1.0]),
             )
 
-    def test_bad_sense_rejected(self):
-        with pytest.raises(InstanceError, match="sense"):
-            MilpInstance(
-                m=1, n=1, c=np.ones(1), b=np.zeros(1),
-                senses=np.array([7], dtype=np.int8),
-                lower=np.zeros(1), upper=np.ones(1), integer=np.zeros(1, dtype=bool),
-                a_rows=np.array([]), a_cols=np.array([]), a_vals=np.array([]),
-            )
+    @pytest.mark.parametrize(
+        "senses, shown",
+        [
+            pytest.param(np.full(8, 7, dtype=np.int8), "7", id="seven"),
+            pytest.param([True] * 8, "True", id="all-true"),
+            pytest.param([True] + [2] * 7, "True", id="true-among-codes"),
+            pytest.param(np.ones(8, dtype=bool), "True", id="bool-array"),
+            pytest.param(["2"] * 8, "'2'", id="string"),
+        ],
+    )
+    def test_bad_sense_rejected(self, senses, shown):
+        # numpy reads True as the code 1; a string is named in quotes, so "2" does not read as a valid code
+        rule = "sense codes must be the integers 0 (<=), 1 (=) or 2 (>=)"
+        with pytest.raises(InstanceError, match=re.escape(f"field 'senses': {rule}, not {shown} at row 0") + "$"):
+            dataclasses.replace(counterexample_pair()[0], senses=senses)
 
     def test_nan_rejected(self):
         with pytest.raises(InstanceError):
@@ -142,6 +150,20 @@ class TestValidation:
     def test_lossy_row_cast_rejected(self):
         with pytest.raises(InstanceError, match="'a_rows'"):
             dataclasses.replace(tiny(), a_rows=np.array([0.7, 0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "rows, cols, t, shown",
+        [([False, False], [0, 1], 0, "False"), (np.zeros(2, dtype=bool), [0, 1], 0, "False"), ([0, 0], [0, True], 1, "True")],
+    )
+    def test_boolean_index_rejected(self, rows, cols, t, shown):
+        # numpy reads False as the row 0 and True as the column 1
+        with pytest.raises(InstanceError, match=f"^triplet indices must be integers, not {shown} in triplet {t} of A$"):
+            MilpInstance(
+                m=1, n=2, c=np.ones(2), b=np.zeros(1),
+                senses=np.array([0], dtype=np.int8),
+                lower=np.zeros(2), upper=np.ones(2), integer=np.zeros(2, dtype=bool),
+                a_rows=rows, a_cols=cols, a_vals=np.array([1.0, 2.0]),
+            )
 
     def test_lossy_column_cast_rejected(self):
         with pytest.raises(InstanceError, match="'a_cols'"):
@@ -368,6 +390,14 @@ class TestPermute:
     def test_identity_permutation(self):
         inst = tiny()
         assert permute(inst, np.arange(2), np.arange(3)) == inst
+
+    @pytest.mark.parametrize(
+        "sigma_v, sigma_w, what",
+        [([0, 0], [0, 1, 2], "sigma_v is not a permutation of 0..1"), ([0, 1], [0, 1], "sigma_w is not a permutation of 0..2")],
+    )
+    def test_non_permutation_is_refused(self, sigma_v, sigma_w, what):
+        with pytest.raises(InstanceError, match=f"^{what}$"):
+            permute(tiny(), sigma_v, sigma_w)
 
     def test_matrix_permutes_consistently(self):
         inst = gen_random(5, m=4, n=6, nnz=10)

@@ -68,9 +68,9 @@ class TestSolveAgainstOracle:
             return run(self)
 
         monkeypatch.setattr(lp._ChildLps, "_run", counting)
-        assert children.objective(0, 1.0, 0.0) == math.inf
+        assert children.solve(0, 1.0, 0.0) == (math.inf, None)
         assert runs["run"] == 0
-        assert children.objective(0, 0.0, 0.0) == pytest.approx(4.5, abs=1e-9)
+        assert children.solve(0, 0.0, 0.0)[0] == pytest.approx(4.5, abs=1e-9)
         assert runs["run"] == 1
 
 
@@ -218,6 +218,26 @@ def _plant_qp(monkeypatch, method, answer):
         return qp
 
     monkeypatch.setattr(lp, "_highs_model", planted)
+
+
+class TestMinNormWithoutDuals:
+    """Without duals, ``min_norm_solution`` solves the relaxation itself and
+    refuses an f* that is not its optimum."""
+
+    def test_an_infeasible_relaxation_is_refused(self):
+        inst = MilpInstance(
+            m=1, n=1, c=np.ones(1), b=np.array([2.0]), senses=np.array([Sense.GE], dtype=np.int8),
+            lower=np.zeros(1), upper=np.ones(1), integer=np.zeros(1, dtype=bool),
+            a_rows=np.array([0]), a_cols=np.array([0]), a_vals=np.array([1.0]),
+        )
+        with pytest.raises(ValueError, match=r"^the LP relaxation has no optimum \(infeasible\)$"):
+            min_norm_solution(inst, 0.0)
+
+    def test_an_f_star_off_the_optimum_is_refused(self):
+        inst = counterexample_pair()[1]
+        assert np.abs(min_norm_solution(inst, 4.0) - 0.5).max() <= 1e-9
+        with pytest.raises(ValueError, match="^f_star 4.5 is not the LP optimum 4.0"):
+            min_norm_solution(inst, 4.5)
 
 
 class TestMinNormStages:

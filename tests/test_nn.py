@@ -64,6 +64,14 @@ class TestGradients:
         assert value == 0.0
         assert max(float(np.abs(a).max()) for a in grads) == 0.0
 
+    @pytest.mark.parametrize("kind", ["mpgnn", "fgnn2"])
+    def test_empty_dataset_has_loss_zero_and_zero_gradients(self, kind):
+        params = nn.init_params(kind, 4, 2, seed=0)
+        value, grads = nn.grad(params, [])
+        assert value == 0.0
+        assert [g.shape for g in grads] == [a.shape for a in params.flat()]
+        assert all(not g.any() for g in grads)
+
 
 class TestForward:
     def test_mpgnn_collapses_on_counterexample(self):
@@ -209,6 +217,11 @@ class TestShapeGrouping:
         assert all(np.array_equal(a, b) for a, b in zip(p1.flat(), p2.flat()))
 
 
+    def test_graphs_of_two_shapes_do_not_batch(self):
+        with pytest.raises(ValueError, match=r"^graphs must share one shape, got \[\(6, 20\), \(8, 8\)\]$"):
+            nn.batch_graphs(mixed_shape_dataset())
+
+
 class TestEmptyGraphs:
     """MilpInstance accepts m = 0 and n = 0; both networks must run on them."""
 
@@ -348,6 +361,11 @@ class TestOneVector:
         assert np.array_equal(twin.theta, params.theta)
         twin.theta += 1.0
         assert not np.array_equal(twin.theta, params.theta)
+
+
+    def test_unknown_architecture_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown architecture 'gcn'$"):
+            nn.init_params("gcn", 8, 2, seed=0)
 
 
 class TestSerialization:

@@ -11,13 +11,7 @@ from milpgnn import cli, gen, lp
 from milpgnn.gen import counterexample_pair, gen_random, gen_set_cover
 from milpgnn.instance import MilpInstance, Sense, permute, serialize_instance
 from milpgnn.lp import LpNumericalError, LpStatus, solve_lp
-from milpgnn.sb import (
-    PRODUCT_RULE,
-    RelaxationInfeasibleError,
-    RelaxationUnboundedError,
-    ScoreRule,
-    sb_scores,
-)
+from milpgnn.sb import PRODUCT_RULE, ScoreRule, UndefinedScoresError, sb_scores
 
 from oracles import brute_force_lp, brute_force_min_norm, child, sb_scores_solved
 
@@ -136,13 +130,13 @@ class TestSkipAgainstSolvedPath:
     def test_matches_oracle(self, monkeypatch):
         skips_on_set_cover = []
         solves = []
-        child_objective = lp._ChildLps.objective
+        child_solve = lp._ChildLps.solve
 
-        def counting_objective(*args, **kwargs):
+        def counting_solve(*args, **kwargs):
             solves.append(1)
-            return child_objective(*args, **kwargs)
+            return child_solve(*args, **kwargs)
 
-        monkeypatch.setattr(lp._ChildLps, "objective", counting_objective)
+        monkeypatch.setattr(lp._ChildLps, "solve", counting_solve)
 
         @settings(max_examples=40, deadline=None)
         @given(case=skip_instances(), rule=st.sampled_from([PRODUCT_RULE, ScoreRule("linear", 0.3)]))
@@ -261,7 +255,7 @@ class TestChildLpStatuses:
         children = lp._ChildLps(inst, 4.0)
         for j, lower, upper in [(0, 0.0, 0.0), (0, 1.0, 1.0), (6, 0.0, 0.0), (7, 1.0, 1.0)]:
             want = solve_lp(child(inst, j, lower, upper)).objective
-            assert children.objective(j, lower, upper) == pytest.approx(want, abs=1e-9)
+            assert children.solve(j, lower, upper)[0] == pytest.approx(want, abs=1e-9)
         _children_report(monkeypatch, Status.kOptimal)
         assert np.abs(sb_scores(inst).scores - np.array([0.25] * 6 + [0.0, 0.0])).max() <= 1e-9
 
@@ -381,7 +375,7 @@ class TestUndefinedAndSentinel:
             integer=np.array([True]),
             a_rows=np.array([0, 1]), a_cols=np.array([0, 0]), a_vals=np.array([1.0, 1.0]),
         )
-        with pytest.raises(RelaxationInfeasibleError):
+        with pytest.raises(UndefinedScoresError, match="^LP relaxation infeasible; SB undefined$"):
             sb_scores(inst)
 
     def test_unbounded_relaxation_raises(self):
@@ -392,7 +386,7 @@ class TestUndefinedAndSentinel:
             integer=np.array([True]),
             a_rows=np.array([0]), a_cols=np.array([0]), a_vals=np.array([1.0]),
         )
-        with pytest.raises(RelaxationUnboundedError):
+        with pytest.raises(UndefinedScoresError, match="^LP relaxation unbounded; SB undefined$"):
             sb_scores(inst)
 
     def test_infinite_score_sentinel(self):
@@ -443,6 +437,6 @@ class TestNoVariables:
 
     @pytest.mark.parametrize("sense, rhs", [(Sense.GE, 1.0), (Sense.LE, -1.0), (Sense.EQ, 0.5)])
     def test_a_failing_row_is_infeasible(self, sense, rhs):
-        with pytest.raises(RelaxationInfeasibleError):
+        with pytest.raises(UndefinedScoresError, match="^LP relaxation infeasible; SB undefined$"):
             sb_scores(no_variables([Sense.LE, sense], [1.0, rhs]))
         assert solve_lp(no_variables([sense], [rhs])).status == LpStatus.INFEASIBLE

@@ -63,6 +63,20 @@ def infeasible_file(tmp_path) -> str:
     return str(path)
 
 
+def unbounded_file(tmp_path) -> str:
+    """min -x over x >= 0, x integer: the relaxation is unbounded."""
+    inst = MilpInstance(
+        m=1, n=1, c=np.array([-1.0]), b=np.array([0.0]),
+        senses=np.array([Sense.GE], dtype=np.int8),
+        lower=np.array([0.0]), upper=np.array([np.inf]),
+        integer=np.array([True]),
+        a_rows=np.array([0]), a_cols=np.array([0]), a_vals=np.array([1.0]),
+    )
+    path = tmp_path / "unbounded.json"
+    path.write_text(serialize_instance(inst))
+    return str(path)
+
+
 def stalled_qp_file(tmp_path) -> str:
     """``gen_set_cover(9025, 12, 24, 0.2)`` with every row and its b_i times
     100: the same feasible set, but a relaxation dual on which the least-norm
